@@ -27,11 +27,12 @@ T Unwrap(Result<T> r) {
 
 void DescribeRoute(const EntropyEngine& engine, const RouteDecision& dec) {
   if (dec.from_sample) {
+    // FromStore serves the store as the one shard of its ShardedStore.
+    const SampleEntry& entry =
+        engine.sharded()->shard(0).sample_entry(dec.sample_index);
     std::printf("    -> sample %zu (%s): variance %.3g beat the summary's "
                 "%.3g\n",
-                dec.sample_index,
-                engine.store()->sample_entry(dec.sample_index).sample->name
-                    .c_str(),
+                dec.sample_index, entry.sample->name.c_str(),
                 dec.sample_variance, dec.summary_variance);
   } else {
     std::printf("    -> summary %zu%s: variance %.3g (best sample offered "

@@ -33,7 +33,7 @@ int main() {
   opts.num_summaries = 2;
   opts.total_budget = 600;  // 300 2-D statistics per pair
   opts.exclude = {*date_attr};
-  auto store_r = SummaryStore::Build(table, opts);
+  auto store_r = SourceStore::Build(table, opts);
   if (!store_r.ok()) {
     std::fprintf(stderr, "build: %s\n", store_r.status().ToString().c_str());
     return 1;

@@ -49,7 +49,7 @@ int main() {
     StoreOptions sopts;
     sopts.num_summaries = 2;
     sopts.total_budget = 600;
-    auto store = Unwrap(SummaryStore::Build(*table, sopts));
+    auto store = Unwrap(SourceStore::Build(*table, sopts));
     s = store->Save(store_dir);
     if (!s.ok()) {
       std::fprintf(stderr, "store save: %s\n", s.ToString().c_str());

@@ -2,47 +2,54 @@
 
 #include <filesystem>
 
-#include "common/thread_pool.h"
-#include "engine/sharded_store.h"
 #include "maxent/join_fusion.h"
 #include "maxent/quantile.h"
 #include "storage/version_set.h"
 
 namespace entropydb {
 
-EntropyEngine::EntropyEngine(std::shared_ptr<EntropySummary> summary,
-                             std::shared_ptr<SourceStore> store,
-                             std::shared_ptr<ShardedStore> sharded)
-    : primary_(std::move(summary)),
-      store_(std::move(store)),
-      sharded_(std::move(sharded)) {
-  if (store_ != nullptr) {
-    primary_ = store_->summary_ptr(store_->widest());
-    router_ = std::make_unique<QueryRouter>(store_);
-  } else if (sharded_ != nullptr) {
-    // Schema accessors read the first shard's widest summary; answering
-    // never touches primary_ on the sharded paths.
-    const SourceStore& first = sharded_->shard(0);
-    primary_ = first.summary_ptr(first.widest());
+namespace {
+
+/// The facade decision every answer path reports, by one rule: the
+/// pruned / scanned shard counters always, plus the answering shard's own
+/// routing decision when exactly one shard answered.
+RouteDecision FacadeDecision(const std::vector<RouteDecision>& per_shard) {
+  RouteDecision dec;
+  const RouteDecision* answered = nullptr;
+  size_t pruned = 0;
+  for (const RouteDecision& d : per_shard) {
+    if (d.pruned) {
+      ++pruned;
+    } else {
+      answered = &d;
+    }
   }
+  const size_t scanned = per_shard.size() - pruned;
+  if (scanned == 1) dec = *answered;
+  dec.shards_pruned = pruned;
+  dec.shards_scanned = scanned;
+  return dec;
 }
+
+}  // namespace
 
 std::shared_ptr<EntropyEngine> EntropyEngine::FromSummary(
     std::shared_ptr<EntropySummary> summary) {
-  return std::shared_ptr<EntropyEngine>(
-      new EntropyEngine(std::move(summary), nullptr, nullptr));
+  auto store = SourceStore::FromEntries({StoreEntry{std::move(summary), {}}});
+  return FromStore(std::move(store).ValueOrDie());
 }
 
 std::shared_ptr<EntropyEngine> EntropyEngine::FromStore(
     std::shared_ptr<SourceStore> store) {
-  return std::shared_ptr<EntropyEngine>(
-      new EntropyEngine(nullptr, std::move(store), nullptr));
+  // One shard holds every row, so the partitioning scheme is moot.
+  const PartitionScheme scheme = PartitionScheme::kRoundRobin;
+  auto sharded = ShardedStore::FromShards({std::move(store)}, scheme);
+  return FromSharded(std::move(sharded).ValueOrDie());
 }
 
 std::shared_ptr<EntropyEngine> EntropyEngine::FromSharded(
     std::shared_ptr<ShardedStore> sharded) {
-  return std::shared_ptr<EntropyEngine>(
-      new EntropyEngine(nullptr, nullptr, std::move(sharded)));
+  return std::shared_ptr<EntropyEngine>(new EntropyEngine(std::move(sharded)));
 }
 
 Result<std::shared_ptr<EntropyEngine>> EntropyEngine::Open(
@@ -77,34 +84,20 @@ Result<std::shared_ptr<EntropyEngine>> EntropyEngine::Open(
   return FromSummary(std::move(summary));
 }
 
-size_t EntropyEngine::num_shards() const {
-  return sharded_ != nullptr ? sharded_->num_shards() : 1;
-}
-
 size_t EntropyEngine::num_summaries() const {
-  if (sharded_ != nullptr) {
-    size_t total = 0;
-    for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-      total += sharded_->shard(s).size();
-    }
-    return total;
+  size_t total = 0;
+  for (size_t s = 0; s < sharded_->num_shards(); ++s) {
+    total += sharded_->shard(s).size();
   }
-  return store_ ? store_->size() : 1;
+  return total;
 }
 
 size_t EntropyEngine::num_samples() const {
-  if (sharded_ != nullptr) {
-    size_t total = 0;
-    for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-      total += sharded_->shard(s).num_samples();
-    }
-    return total;
+  size_t total = 0;
+  for (size_t s = 0; s < sharded_->num_shards(); ++s) {
+    total += sharded_->shard(s).num_samples();
   }
-  return store_ ? store_->num_samples() : 0;
-}
-
-double EntropyEngine::n() const {
-  return sharded_ != nullptr ? sharded_->n() : primary_->n();
+  return total;
 }
 
 EngineStats EntropyEngine::stats() const {
@@ -118,76 +111,41 @@ EngineStats EntropyEngine::stats() const {
 Result<QueryEstimate> EntropyEngine::Answer(const CountingQuery& q,
                                             RouteDecision* decision) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (sharded_ != nullptr) {
-    // Per-shard routing decisions live on ShardedStore::Answer; the
-    // facade-level decision carries the merged variance plus the
-    // pruned/scanned shard counters.
-    if (decision == nullptr) return sharded_->Answer(q);
-    *decision = RouteDecision{};
-    std::vector<RouteDecision> per_shard;
-    ASSIGN_OR_RETURN(QueryEstimate est, sharded_->Answer(q, &per_shard));
-    decision->expected_variance = est.variance;
-    for (const RouteDecision& d : per_shard) {
-      ++(d.pruned ? decision->shards_pruned : decision->shards_scanned);
-    }
-    return est;
-  }
-  if (router_ != nullptr) return router_->Answer(q, decision);
-  if (decision != nullptr) *decision = RouteDecision{};
-  auto est = primary_->Answer(q);
-  if (est.ok() && decision != nullptr) {
-    decision->expected_variance = est->variance;
-    decision->summary_variance = est->variance;
-  }
+  if (decision == nullptr) return sharded_->Answer(q);
+  std::vector<RouteDecision> per_shard;
+  ASSIGN_OR_RETURN(QueryEstimate est, sharded_->Answer(q, &per_shard));
+  *decision = FacadeDecision(per_shard);
+  decision->expected_variance = est.variance;
   return est;
 }
 
-Result<QueryResult> EntropyEngine::Answer(const AggregateQuery& q,
-                                          RouteDecision* decision) const {
+Result<QueryResult> EntropyEngine::Answer(
+    const AggregateQuery& q, RouteDecision* decision,
+    std::vector<RouteDecision>* per_shard) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<RouteDecision> local;
+  if (per_shard == nullptr) per_shard = &local;
+  QueryResult out;
   switch (q.kind) {
     case AggregateKind::kCount:
     case AggregateKind::kSum:
     case AggregateKind::kAvg: {
-      if (sharded_ != nullptr) {
-        RouteDecision dec;
-        std::vector<RouteDecision> per_shard;
-        ASSIGN_OR_RETURN(QueryResult out, sharded_->Answer(q, &per_shard));
-        dec.expected_variance = out.estimate.variance;
-        for (const RouteDecision& d : per_shard) {
-          ++(d.pruned ? dec.shards_pruned : dec.shards_scanned);
-        }
-        out.route = dec;
-        if (decision != nullptr) *decision = dec;
-        return out;
-      }
-      if (router_ != nullptr) return router_->Answer(q, decision);
-      ASSIGN_OR_RETURN(QueryResult out, primary_->Answer(q));
-      if (decision != nullptr) *decision = out.route;
-      return out;
+      ASSIGN_OR_RETURN(out, sharded_->Answer(q, per_shard));
+      break;
     }
     case AggregateKind::kQuantile: {
-      RouteDecision dec;
-      ASSIGN_OR_RETURN(std::vector<QueryEstimate> cells,
-                       GroupByMarginal(q.agg_attr, q.where, &dec));
-      ASSIGN_OR_RETURN(QueryResult out,
-                       QuantileFromMarginal(cells, q.weights, q.q, n()));
-      dec.expected_variance = out.estimate.variance;
-      dec.summary_variance = out.estimate.variance;
-      out.route = dec;
-      if (decision != nullptr) *decision = dec;
-      return out;
+      ASSIGN_OR_RETURN(
+          std::vector<QueryEstimate> cells,
+          sharded_->AnswerGroupByAttribute(q.agg_attr, q.where, per_shard));
+      ASSIGN_OR_RETURN(out, QuantileFromMarginal(cells, q.weights, q.q, n()));
+      break;
     }
     case AggregateKind::kTopK: {
-      RouteDecision dec;
-      ASSIGN_OR_RETURN(std::vector<QueryEstimate> cells,
-                       GroupByMarginal(q.agg_attr, q.where, &dec));
-      ASSIGN_OR_RETURN(QueryResult out, TopKFromMarginal(cells, q.k));
-      dec.expected_variance = out.estimate.variance;
-      dec.summary_variance = out.estimate.variance;
-      out.route = dec;
-      if (decision != nullptr) *decision = dec;
-      return out;
+      ASSIGN_OR_RETURN(
+          std::vector<QueryEstimate> cells,
+          sharded_->AnswerGroupByAttribute(q.agg_attr, q.where, per_shard));
+      ASSIGN_OR_RETURN(out, TopKFromMarginal(cells, q.k));
+      break;
     }
     case AggregateKind::kJoinCount:
     case AggregateKind::kJoinSum:
@@ -195,7 +153,14 @@ Result<QueryResult> EntropyEngine::Answer(const AggregateQuery& q,
           "join queries fuse two engines — use AnswerJoin with the "
           "right-side engine");
   }
-  return Status::Internal("unhandled aggregate kind");
+  out.route = FacadeDecision(*per_shard);
+  out.route.expected_variance = out.estimate.variance;
+  if (q.kind == AggregateKind::kQuantile || q.kind == AggregateKind::kTopK) {
+    // Derived from summary marginals: the summary side is the whole story.
+    out.route.summary_variance = out.estimate.variance;
+  }
+  if (decision != nullptr) *decision = out.route;
+  return out;
 }
 
 Result<QueryResult> EntropyEngine::AnswerJoin(const AggregateQuery& q,
@@ -212,15 +177,16 @@ Result<QueryResult> EntropyEngine::AnswerJoin(const AggregateQuery& q,
       q.right_join_attr >= right.num_attributes()) {
     return Status::OutOfRange("join attribute out of range");
   }
-  RouteDecision dec;
   // Each side contributes its filtered join-attribute marginal from its
-  // own routed model (sharded sides merge additively underneath); the
-  // fusion itself is pure marginal algebra.
-  ASSIGN_OR_RETURN(std::vector<QueryEstimate> left_cells,
-                   GroupByMarginal(q.join_attr, q.where, &dec));
+  // own routed model (merged additively across its shards); the fusion
+  // itself is pure marginal algebra.
+  std::vector<RouteDecision> per_shard;
+  ASSIGN_OR_RETURN(
+      std::vector<QueryEstimate> left_cells,
+      sharded_->AnswerGroupByAttribute(q.join_attr, q.where, &per_shard));
   ASSIGN_OR_RETURN(
       std::vector<QueryEstimate> right_cells,
-      right.GroupByMarginal(q.right_join_attr, q.right_where, nullptr));
+      right.sharded_->AnswerGroupByAttribute(q.right_join_attr, q.right_where));
   JoinSideMarginal right_marg;
   right_marg.n = right.n();
   right_marg.mass.reserve(right_cells.size());
@@ -241,7 +207,8 @@ Result<QueryResult> EntropyEngine::AnswerJoin(const AggregateQuery& q,
     if (q.agg_attr >= num_attributes()) {
       return Status::OutOfRange("aggregate attribute out of range");
     }
-    const size_t width = primary_->registry().domain_size(q.agg_attr);
+    const size_t width =
+        sharded_->shard(0).summary(0).registry().domain_size(q.agg_attr);
     if (q.weights.size() != width) {
       return Status::InvalidArgument(
           "weight vector must have one entry per value of the attribute");
@@ -257,23 +224,19 @@ Result<QueryResult> EntropyEngine::AnswerJoin(const AggregateQuery& q,
         keys.push_back({j, v});
       }
     }
-    Result<std::map<std::vector<Code>, QueryEstimate>> grid_map =
-        sharded_ != nullptr
-            ? sharded_->AnswerGroupBy(attrs, keys, q.where)
-            : RouteFor(q.where, attrs, nullptr)
-                  .AnswerGroupBy(attrs, keys, q.where);
-    if (!grid_map.ok()) return grid_map.status();
+    ASSIGN_OR_RETURN(auto grid_map,
+                     sharded_->AnswerGroupBy(attrs, keys, q.where));
     std::vector<std::vector<double>> grid(
         left_cells.size(), std::vector<double>(width, 0.0));
-    for (const auto& [key, est] : *grid_map) {
+    for (const auto& [key, est] : grid_map) {
       grid[key[0]][key[1]] = est.expectation;
     }
     ASSIGN_OR_RETURN(out, FuseJoinSum(n(), grid, q.weights, right_marg));
   }
-  dec.expected_variance = out.estimate.variance;
-  dec.summary_variance = out.estimate.variance;
-  out.route = dec;
-  if (decision != nullptr) *decision = dec;
+  out.route = FacadeDecision(per_shard);
+  out.route.expected_variance = out.estimate.variance;
+  out.route.summary_variance = out.estimate.variance;
+  if (decision != nullptr) *decision = out.route;
   return out;
 }
 
@@ -282,59 +245,16 @@ Result<std::vector<QueryEstimate>> EntropyEngine::AnswerAll(
     std::vector<RouteDecision>* decisions) const {
   batches_.fetch_add(1, std::memory_order_relaxed);
   batched_queries_.fetch_add(qs.size(), std::memory_order_relaxed);
-  if (sharded_ != nullptr) {
-    ASSIGN_OR_RETURN(std::vector<QueryEstimate> out, sharded_->AnswerAll(qs));
-    if (decisions != nullptr) {
-      decisions->assign(qs.size(), RouteDecision{});
-      for (size_t i = 0; i < out.size(); ++i) {
-        (*decisions)[i].expected_variance = out[i].variance;
-      }
-    }
-    return out;
-  }
-  if (router_ != nullptr) return router_->AnswerAll(qs, decisions);
-  if (decisions != nullptr) decisions->assign(qs.size(), RouteDecision{});
-  std::vector<QueryEstimate> out(qs.size());
-  std::vector<Status> statuses(qs.size(), Status::OK());
-  ParallelFor(qs.size(), 2, [&](size_t i) {
-    auto est = primary_->Answer(qs[i]);
-    if (!est.ok()) {
-      statuses[i] = est.status();
-      return;
-    }
-    out[i] = *est;
-    if (decisions != nullptr) (*decisions)[i].expected_variance = est->variance;
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
+  if (decisions == nullptr) return sharded_->AnswerAll(qs);
+  std::vector<std::vector<RouteDecision>> per_shard;
+  ASSIGN_OR_RETURN(std::vector<QueryEstimate> out,
+                   sharded_->AnswerAll(qs, &per_shard));
+  decisions->resize(out.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    (*decisions)[i] = FacadeDecision(per_shard[i]);
+    (*decisions)[i].expected_variance = out[i].variance;
   }
   return out;
-}
-
-const EntropySummary& EntropyEngine::RouteFor(
-    const CountingQuery& q, const std::vector<AttrId>& extra_attrs,
-    RouteDecision* decision) const {
-  if (decision != nullptr) *decision = RouteDecision{};
-  if (router_ == nullptr || q.num_attributes() != store_->num_attributes()) {
-    // Arity errors surface from the summary's own validation.
-    return *primary_;
-  }
-  return store_->summary(router_->RouteEntry(q, extra_attrs, decision));
-}
-
-Result<std::vector<QueryEstimate>> EntropyEngine::GroupByMarginal(
-    AttrId a, const CountingQuery& base, RouteDecision* decision) const {
-  if (sharded_ != nullptr) {
-    if (decision != nullptr) *decision = RouteDecision{};
-    return sharded_->AnswerGroupByAttribute(a, base);
-  }
-  return RouteFor(base, {a}, decision).AnswerGroupByAttribute(a, base);
-}
-
-Result<std::vector<QueryEstimate>> EntropyEngine::AnswerGroupByAttribute(
-    AttrId a, const CountingQuery& base, RouteDecision* decision) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  return GroupByMarginal(a, base, decision);
 }
 
 Result<std::map<std::vector<Code>, QueryEstimate>> EntropyEngine::AnswerGroupBy(
@@ -342,11 +262,12 @@ Result<std::map<std::vector<Code>, QueryEstimate>> EntropyEngine::AnswerGroupBy(
     const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
     RouteDecision* decision) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (sharded_ != nullptr) {
-    if (decision != nullptr) *decision = RouteDecision{};
-    return sharded_->AnswerGroupBy(attrs, keys, base);
-  }
-  return RouteFor(base, attrs, decision).AnswerGroupBy(attrs, keys, base);
+  if (decision == nullptr) return sharded_->AnswerGroupBy(attrs, keys, base);
+  std::vector<RouteDecision> per_shard;
+  ASSIGN_OR_RETURN(auto out,
+                   sharded_->AnswerGroupBy(attrs, keys, base, &per_shard));
+  *decision = FacadeDecision(per_shard);
+  return out;
 }
 
 }  // namespace entropydb

@@ -4,19 +4,15 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "engine/query_router.h"
-#include "engine/source_store.h"
+#include "engine/sharded_store.h"
 #include "maxent/summary.h"
 #include "query/aggregate.h"
 
 namespace entropydb {
-
-class ShardedStore;
 
 /// \brief Monotonic engine-level counters, snapshot by
 /// EntropyEngine::stats().
@@ -34,10 +30,12 @@ struct EngineStats {
   uint64_t batched_queries = 0;
 };
 
-/// \brief The serving facade: one query surface over a single
-/// EntropySummary, a routed SourceStore (summaries + sample companions),
-/// or a ShardedStore (S row-shards, each a full SourceStore, answered by
-/// fan-out + additive merge — see engine/sharded_store.h).
+/// \brief The serving facade: one query surface over one ShardedStore —
+/// S row-shards, each a SourceStore of summaries plus sample companions
+/// answered by its own QueryRouter, merged additively (see
+/// engine/sharded_store.h). Every engine has that one shape: a single
+/// summary is a one-entry store and a monolithic store is one shard, so
+/// no method branches on where the engine came from.
 ///
 /// Tools, examples, and benchmarks talk to this instead of hand-wiring a
 /// summary, so switching a deployment from one summary file to a
@@ -46,10 +44,7 @@ struct EngineStats {
 ///   auto engine = EntropyEngine::Open(path);   // file or store directory
 ///   auto res = (*engine)->Answer(AggregateQuery::Count(query));
 ///
-/// Open sniffs a directory's MANIFEST header and dispatches transparently:
-/// a v1/v2 manifest loads as a monolithic SourceStore, a v3 manifest as a
-/// ShardedStore — callers never branch on the layout. Sharded engines fan
-/// each COUNT/SUM/AVG out to every shard (the best source is picked PER
+/// COUNT/SUM/AVG fan out to every shard (the best source is picked PER
 /// SHARD by that shard's router) and merge the per-shard moments; point
 /// estimates, variances, and the SUM/COUNT covariance are additive across
 /// disjoint row partitions, so the merged AVG keeps the full delta-method
@@ -60,65 +55,62 @@ struct EngineStats {
 /// (coverage -> summary variance -> summary-vs-sample variance; see
 /// docs/ESTIMATORS.md); AVG and the group-bys are summary-only (samples
 /// have no batched-derivative path); QUANTILE and TOPK derive here at the
-/// facade from the routed group-by marginal (maxent/quantile.h), so they
-/// work uniformly over single summaries, stores, and sharded stores. The
-/// JOIN kinds fuse TWO engines' models on a shared attribute — see
-/// AnswerJoin and maxent/join_fusion.h. All entry points are safe to call
-/// concurrently; per-summary throughput scales on the answerer's
+/// facade from the merged group-by marginal (maxent/quantile.h). The JOIN
+/// kinds fuse TWO engines' models on a shared attribute — see AnswerJoin
+/// and maxent/join_fusion.h.
+///
+/// Every answer path reports its RouteDecision by one rule: the pruned /
+/// scanned shard counters always, plus the answering shard's own routing
+/// decision when exactly one shard answered (so a monolithic engine
+/// reports its store's routing verbatim). All entry points are safe to
+/// call concurrently; per-summary throughput scales on the answerer's
 /// workspace pool.
 class EntropyEngine {
  public:
-  /// Wraps a single summary (no routing).
+  /// Wraps a non-null summary as a one-entry, one-shard store.
   static std::shared_ptr<EntropyEngine> FromSummary(
       std::shared_ptr<EntropySummary> summary);
-  /// Wraps a store behind a hybrid router.
+  /// Wraps a non-null store as a one-shard ShardedStore.
   static std::shared_ptr<EntropyEngine> FromStore(
       std::shared_ptr<SourceStore> store);
-  /// Wraps a sharded store behind per-shard routers + additive merging.
+  /// Serves a non-null sharded store.
   static std::shared_ptr<EntropyEngine> FromSharded(
       std::shared_ptr<ShardedStore> sharded);
   /// Opens a persisted engine: a directory loads as a SourceStore
   /// (MANIFEST v1/v2/v4-mono) or a ShardedStore (MANIFEST v3/v4-sharded),
-  /// a file as a single summary. A *versioned root* (a directory holding a
-  /// CURRENT pointer — see storage/version_set.h) resolves to its current
-  /// version's store directory first, so callers point at the root and
-  /// transparently read whatever version is live; to time-travel, open a
-  /// retained "root/v<id>" directly. Checksums are verified unless
+  /// a file as a single summary — each wrapped into the one shape. A
+  /// *versioned root* (a directory holding a CURRENT pointer — see
+  /// storage/version_set.h) resolves to its current version's store
+  /// directory first, so callers point at the root and transparently read
+  /// whatever version is live; to time-travel, open a retained
+  /// "root/v<id>" directly. Checksums are verified unless
   /// `opts.verify_checksums` is off; all I/O goes through `env`.
   static Result<std::shared_ptr<EntropyEngine>> Open(const std::string& path,
                                                      SummaryOptions opts = {},
                                                      Env* env = Env::Default());
 
-  /// True when this engine routes over a store (vs. one summary).
-  bool is_store() const { return store_ != nullptr || sharded_ != nullptr; }
-  /// True when this engine fans out over a sharded store.
-  bool is_sharded() const { return sharded_ != nullptr; }
-  /// Number of row-shards (1 for monolithic engines).
-  size_t num_shards() const;
-  /// Number of summary sources (summed across shards when sharded).
+  /// Number of row-shards (1 for engines over a summary or a monolithic
+  /// store).
+  size_t num_shards() const { return sharded_->num_shards(); }
+  /// Number of summary sources, summed across shards.
   size_t num_summaries() const;
-  /// Number of sample sources (summed across shards when sharded).
+  /// Number of sample sources, summed across shards.
   size_t num_samples() const;
-  /// The backing monolithic store; null for single-summary AND sharded
-  /// engines (use sharded() for the latter).
-  const SourceStore* store() const { return store_.get(); }
-  /// The backing sharded store; null unless is_sharded().
+  /// The store this engine serves; never null.
   const ShardedStore* sharded() const { return sharded_.get(); }
-  /// The single summary, or the (first shard's) widest fallback entry.
-  const EntropySummary& primary() const { return *primary_; }
 
   /// Attribute names shared by every source.
   const std::vector<std::string>& attr_names() const {
-    return primary_->attr_names();
+    return sharded_->attr_names();
   }
   /// Active-domain descriptors shared by every source (may be empty for
   /// summaries built from a bare registry).
-  const std::vector<Domain>& domains() const { return primary_->domains(); }
-  bool has_domains() const { return primary_->has_domains(); }
-  /// Relation cardinality n (the TOTAL across shards when sharded).
-  double n() const;
+  const std::vector<Domain>& domains() const { return sharded_->domains(); }
+  bool has_domains() const { return sharded_->has_domains(); }
+  /// Relation cardinality n, the total across shards.
+  double n() const { return sharded_->n(); }
   /// Relation arity m.
-  size_t num_attributes() const { return primary_->num_attributes(); }
+  size_t num_attributes() const { return sharded_->num_attributes(); }
 
   /// COUNT(*) — the routed counting primitive the batcher fans out on
   /// (bitwise the Answer(AggregateQuery::Count(q)) estimate).
@@ -126,13 +118,14 @@ class EntropyEngine {
                                RouteDecision* decision = nullptr) const;
 
   /// The unified aggregate surface: COUNT/SUM/AVG routed per the class
-  /// comment, QUANTILE/TOPK derived from the routed group-by marginal.
+  /// comment, QUANTILE/TOPK derived from the merged group-by marginal.
   /// JOIN kinds need a right-side engine — use AnswerJoin; here they are
-  /// kInvalidArgument. The result's `route` always carries the decision
-  /// (facade-level pruning counters included when sharded); `decision`
-  /// (optional) receives the same value.
-  Result<QueryResult> Answer(const AggregateQuery& q,
-                             RouteDecision* decision = nullptr) const;
+  /// kInvalidArgument. The result's `route` always carries the decision;
+  /// `decision` (optional) receives the same value, and `per_shard`
+  /// (optional) every shard's own decision, slot s for shard s.
+  Result<QueryResult> Answer(
+      const AggregateQuery& q, RouteDecision* decision = nullptr,
+      std::vector<RouteDecision>* per_shard = nullptr) const;
 
   /// Fused-join estimates (kJoinCount / kJoinSum): this engine serves the
   /// LEFT relation (q.where, q.join_attr, and for JOIN_SUM q.agg_attr /
@@ -141,7 +134,8 @@ class EntropyEngine {
   /// marginal from its own routed model; the fusion is the first-order
   /// delta estimate of maxent/join_fusion.h. The two join attributes'
   /// domains must agree in size (codes are matched positionally — fuse
-  /// relations encoded against the same dictionary).
+  /// relations encoded against the same dictionary). The decision is the
+  /// left side's.
   Result<QueryResult> AnswerJoin(const AggregateQuery& q,
                                  const EntropyEngine& right,
                                  RouteDecision* decision = nullptr) const;
@@ -152,12 +146,8 @@ class EntropyEngine {
       const std::vector<CountingQuery>& qs,
       std::vector<RouteDecision>* decisions = nullptr) const;
 
-  /// Whole-attribute group-by (one batched derivative pass) —
-  /// summary-routed.
-  Result<std::vector<QueryEstimate>> AnswerGroupByAttribute(
-      AttrId a, const CountingQuery& base,
-      RouteDecision* decision = nullptr) const;
-  /// Point group-by over explicit keys — summary-routed.
+  /// Point group-by over explicit keys — summary-routed per shard, merged
+  /// additively per key.
   Result<std::map<std::vector<Code>, QueryEstimate>> AnswerGroupBy(
       const std::vector<AttrId>& attrs,
       const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
@@ -167,26 +157,10 @@ class EntropyEngine {
   EngineStats stats() const;
 
  private:
-  EntropyEngine(std::shared_ptr<EntropySummary> summary,
-                std::shared_ptr<SourceStore> store,
-                std::shared_ptr<ShardedStore> sharded);
+  explicit EntropyEngine(std::shared_ptr<ShardedStore> sharded)
+      : sharded_(std::move(sharded)) {}
 
-  /// Picks the serving summary for a filter + extra constrained attributes
-  /// (aggregate / group-by attributes), filling `decision` — the router's
-  /// RouteEntry behind the single-summary fallback.
-  const EntropySummary& RouteFor(
-      const CountingQuery& q, const std::vector<AttrId>& extra_attrs,
-      RouteDecision* decision) const;
-
-  /// The routed whole-attribute marginal the group-by, quantile, and join
-  /// surfaces share (dispatches sharded / store / single-summary).
-  Result<std::vector<QueryEstimate>> GroupByMarginal(
-      AttrId a, const CountingQuery& base, RouteDecision* decision) const;
-
-  std::shared_ptr<EntropySummary> primary_;
-  std::shared_ptr<SourceStore> store_;
   std::shared_ptr<ShardedStore> sharded_;
-  std::unique_ptr<QueryRouter> router_;
 
   // Answer methods are const; the counters are observability, not state.
   mutable std::atomic<uint64_t> queries_{0};

@@ -221,6 +221,20 @@ Result<QueryResult> QueryRouter::Answer(const AggregateQuery& q,
   }
 }
 
+Result<std::vector<QueryEstimate>> QueryRouter::AnswerGroupByAttribute(
+    AttrId a, const CountingQuery& base, RouteDecision* decision) const {
+  return store_->summary(RouteEntry(base, {a}, decision))
+      .AnswerGroupByAttribute(a, base);
+}
+
+Result<std::map<std::vector<Code>, QueryEstimate>> QueryRouter::AnswerGroupBy(
+    const std::vector<AttrId>& attrs,
+    const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+    RouteDecision* decision) const {
+  return store_->summary(RouteEntry(base, attrs, decision))
+      .AnswerGroupBy(attrs, keys, base);
+}
+
 Result<std::vector<QueryEstimate>> QueryRouter::AnswerAll(
     const CountingQuery* qs, size_t count,
     std::vector<RouteDecision>* decisions) const {

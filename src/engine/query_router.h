@@ -2,6 +2,7 @@
 #define ENTROPYDB_ENGINE_QUERY_ROUTER_H_
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -42,8 +43,10 @@ namespace entropydb {
 /// answer), SUM routes stages 1-2 on the filter PLUS the aggregated
 /// attribute and challenges hybrid on the filter count's variance (the
 /// shared objective), AVG routes summary-only (samples have no batched
-/// ratio path). QUANTILE/TOPK/JOIN derive at the engine facade from
-/// group-by marginals — kNotSupported here.
+/// ratio path). The group-bys route stages 1-2 on the filter plus the
+/// grouped attributes and answer from that summary. QUANTILE/TOPK/JOIN
+/// derive at the engine facade from group-by marginals — kNotSupported
+/// here.
 ///
 /// The routed answer IS the chosen source's own answer — bit-for-bit what
 /// that summary's QueryAnswerer or that sample's SampleEstimator returns —
@@ -111,6 +114,19 @@ class QueryRouter {
   /// decision; `decision` (optional) receives the same value.
   Result<QueryResult> Answer(const AggregateQuery& q,
                              RouteDecision* decision = nullptr) const;
+
+  /// Whole-attribute group-by (one batched derivative pass) from the
+  /// summary RouteEntry picks for `base` plus `a`; `decision` gets that
+  /// routing. Summary-only: samples have no batched-derivative path.
+  Result<std::vector<QueryEstimate>> AnswerGroupByAttribute(
+      AttrId a, const CountingQuery& base,
+      RouteDecision* decision = nullptr) const;
+  /// Point group-by over explicit keys, routed like AnswerGroupByAttribute
+  /// with every grouped attribute constrained.
+  Result<std::map<std::vector<Code>, QueryEstimate>> AnswerGroupBy(
+      const std::vector<AttrId>& attrs,
+      const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+      RouteDecision* decision = nullptr) const;
 
   /// Routes and answers a whole workload, fanned across the shared thread
   /// pool; slot i of the result (and of `decisions`) corresponds to qs[i].

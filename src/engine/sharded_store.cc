@@ -61,9 +61,9 @@ ShardedStore::ShardedStore(
       zone_maps_(std::move(zone_maps)),
       scheme_(scheme),
       partition_attr_(partition_attr) {
-  engines_.reserve(shards_.size());
+  routers_.reserve(shards_.size());
   for (const auto& s : shards_) {
-    engines_.push_back(EntropyEngine::FromStore(s));
+    routers_.emplace_back(s);
     total_n_ += s->n();
   }
 }
@@ -180,35 +180,46 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Build(const Table& table,
                     opts.partition_attr);
 }
 
-bool ShardedStore::Prunable(size_t s, const CountingQuery& q,
-                            AttrId* attr) const {
-  if (!prune_ || zone_maps_[s] == nullptr) return false;
-  return !zone_maps_[s]->MightMatch(q, attr);
+bool ShardedStore::Prune(size_t s, const CountingQuery& q,
+                         RouteDecision* dec) const {
+  AttrId attr = 0;
+  if (!prune_ || zone_maps_[s] == nullptr ||
+      zone_maps_[s]->MightMatch(q, &attr)) {
+    return false;
+  }
+  if (dec != nullptr) {
+    dec->pruned = true;
+    dec->pruned_attr = attr;
+  }
+  return true;
+}
+
+template <typename AnswerFn>
+Status ShardedStore::ForEachShard(const CountingQuery& where,
+                                  std::vector<RouteDecision>* per_shard,
+                                  AnswerFn&& answer) const {
+  if (per_shard != nullptr) {
+    per_shard->assign(shards_.size(), RouteDecision{});
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    RouteDecision* dec = per_shard != nullptr ? &(*per_shard)[s] : nullptr;
+    // A shard whose zone map rules the query out would answer exact zeros
+    // (see storage/zone_map.h) — skip it; every merge is unchanged.
+    if (Prune(s, where, dec)) continue;
+    RETURN_NOT_OK(answer(routers_[s], dec));
+  }
+  return Status::OK();
 }
 
 Result<QueryEstimate> ShardedStore::Answer(
     const CountingQuery& q, std::vector<RouteDecision>* per_shard) const {
-  if (per_shard != nullptr) {
-    per_shard->assign(shards_.size(), RouteDecision{});
-  }
   QueryEstimate merged;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    // A shard whose zone map rules the query out would answer an exact
-    // {0, 0} (see storage/zone_map.h) — skip it; the merge is unchanged.
-    AttrId pruned_attr = 0;
-    if (Prunable(s, q, &pruned_attr)) {
-      if (per_shard != nullptr) {
-        (*per_shard)[s].pruned = true;
-        (*per_shard)[s].pruned_attr = pruned_attr;
-      }
-      continue;
-    }
-    ASSIGN_OR_RETURN(
-        QueryEstimate est,
-        engines_[s]->Answer(
-            q, per_shard != nullptr ? &(*per_shard)[s] : nullptr));
+  auto answer = [&](const QueryRouter& router, RouteDecision* dec) -> Status {
+    ASSIGN_OR_RETURN(QueryEstimate est, router.Answer(q, dec));
     MergeInto(&merged, est);
-  }
+    return Status::OK();
+  };
+  RETURN_NOT_OK(ForEachShard(q, per_shard, answer));
   return merged;
 }
 
@@ -220,32 +231,20 @@ Result<QueryResult> ShardedStore::Answer(
         std::string("aggregate kind ") + AggregateKindName(q.kind) +
         " is derived at the engine facade, not merged across shards");
   }
-  if (per_shard != nullptr) {
-    per_shard->assign(shards_.size(), RouteDecision{});
-  }
   // Disjoint row partitions with independently fit models: the estimates,
   // BOTH moment legs, and the SUM/COUNT covariance are all additive (a
   // pruned shard contributes the exact zeros it would have answered).
   QueryResult merged;
   merged.has_moments = true;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    AttrId pruned_attr = 0;
-    if (Prunable(s, q.where, &pruned_attr)) {
-      if (per_shard != nullptr) {
-        (*per_shard)[s].pruned = true;
-        (*per_shard)[s].pruned_attr = pruned_attr;
-      }
-      continue;
-    }
-    ASSIGN_OR_RETURN(
-        QueryResult part,
-        engines_[s]->Answer(
-            q, per_shard != nullptr ? &(*per_shard)[s] : nullptr));
+  auto answer = [&](const QueryRouter& router, RouteDecision* dec) -> Status {
+    ASSIGN_OR_RETURN(QueryResult part, router.Answer(q, dec));
     MergeInto(&merged.estimate, part.estimate);
     MergeInto(&merged.sum, part.sum);
     MergeInto(&merged.count, part.count);
     merged.sum_count_cov += part.sum_count_cov;
-  }
+    return Status::OK();
+  };
+  RETURN_NOT_OK(ForEachShard(q.where, per_shard, answer));
   if (q.kind == AggregateKind::kAvg) {
     // ONE delta method over the MERGED moments — the covariance term the
     // per-shard results surfaced stays in the ratio variance, so the
@@ -266,7 +265,8 @@ Result<QueryResult> ShardedStore::Answer(
 }
 
 Result<std::vector<QueryEstimate>> ShardedStore::AnswerGroupByAttribute(
-    AttrId a, const CountingQuery& base) const {
+    AttrId a, const CountingQuery& base,
+    std::vector<RouteDecision>* per_shard) const {
   if (a >= num_attributes()) {
     return Status::OutOfRange("group-by attribute out of range");
   }
@@ -275,22 +275,23 @@ Result<std::vector<QueryEstimate>> ShardedStore::AnswerGroupByAttribute(
   // shard an exact {0, 0}.
   std::vector<QueryEstimate> merged(
       shards_.front()->entry(0).summary->registry().domain_size(a));
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (Prunable(s, base, nullptr)) continue;
+  auto answer = [&](const QueryRouter& router, RouteDecision* dec) -> Status {
     ASSIGN_OR_RETURN(std::vector<QueryEstimate> part,
-                     engines_[s]->AnswerGroupByAttribute(a, base));
+                     router.AnswerGroupByAttribute(a, base, dec));
     if (merged.size() != part.size()) {
       return Status::Internal("shards disagree on group-by width");
     }
     for (size_t v = 0; v < part.size(); ++v) MergeInto(&merged[v], part[v]);
-  }
+    return Status::OK();
+  };
+  RETURN_NOT_OK(ForEachShard(base, per_shard, answer));
   return merged;
 }
 
 Result<std::map<std::vector<Code>, QueryEstimate>> ShardedStore::AnswerGroupBy(
     const std::vector<AttrId>& attrs,
-    const std::vector<std::vector<Code>>& keys,
-    const CountingQuery& base) const {
+    const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+    std::vector<RouteDecision>* per_shard) const {
   std::map<std::vector<Code>, QueryEstimate> merged;
   // Every requested key gets a slot up front, so the result keeps its
   // shape even when pruning skips every shard (malformed keys still fail,
@@ -301,11 +302,12 @@ Result<std::map<std::vector<Code>, QueryEstimate>> ShardedStore::AnswerGroupBy(
     }
     merged[key];
   }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (Prunable(s, base, nullptr)) continue;
-    ASSIGN_OR_RETURN(auto part, engines_[s]->AnswerGroupBy(attrs, keys, base));
+  auto answer = [&](const QueryRouter& router, RouteDecision* dec) -> Status {
+    ASSIGN_OR_RETURN(auto part, router.AnswerGroupBy(attrs, keys, base, dec));
     for (const auto& [key, est] : part) MergeInto(&merged[key], est);
-  }
+    return Status::OK();
+  };
+  RETURN_NOT_OK(ForEachShard(base, per_shard, answer));
   return merged;
 }
 
@@ -326,16 +328,9 @@ Result<std::vector<QueryEstimate>> ShardedStore::AnswerAll(
     const size_t s = flat % ns;
     // Pruned cells keep their default-zero estimate — the exact value the
     // shard would have answered — so the serial merge below is unchanged.
-    AttrId pruned_attr = 0;
-    if (Prunable(s, qs[i], &pruned_attr)) {
-      if (per_shard != nullptr) {
-        cell_decisions[flat].pruned = true;
-        cell_decisions[flat].pruned_attr = pruned_attr;
-      }
-      return;
-    }
-    auto est = engines_[s]->Answer(
-        qs[i], per_shard != nullptr ? &cell_decisions[flat] : nullptr);
+    RouteDecision* dec = per_shard != nullptr ? &cell_decisions[flat] : nullptr;
+    if (Prune(s, qs[i], dec)) return;
+    auto est = routers_[s].Answer(qs[i], dec);
     if (!est.ok()) {
       statuses[flat] = est.status();
       return;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "engine/engine.h"
 #include "engine/query_router.h"
 #include "engine/source_store.h"
 #include "storage/partitioner.h"
@@ -45,7 +44,9 @@ struct ShardedOptions {
 /// every shard and merging the per-shard estimates.
 ///
 /// The layering is deliberately bolt-on (the OrpheusDB pattern): nothing
-/// below this class knows about shards. Build partitions the base table
+/// below this class knows about shards, and nothing here knows about the
+/// EntropyEngine facade above it — every engine serves one ShardedStore,
+/// a monolithic store being the S = 1 case. Build partitions the base table
 /// (storage/partitioner.h), ranks attribute pairs once globally, then
 /// builds the S SourceStores IN PARALLEL on the shared pool — per-shard
 /// builds are independent, and their own internal fan-outs degrade inline
@@ -67,8 +68,8 @@ struct ShardedOptions {
 /// store subdirectory. Save stages the WHOLE tree into a `<dir>.tmp-*`
 /// sibling and publishes it in one rename, so a crash never exposes a
 /// mixed-shard store. v3 (PR 5-era) sharded directories keep loading;
-/// v2/v1 directories load as monolithic stores — EntropyEngine::Open
-/// sniffs the manifest header and dispatches.
+/// v2/v1 directories load as monolithic stores, which EntropyEngine::Open
+/// wraps as one-shard ShardedStores.
 class ShardedStore {
  public:
   /// Partitions `table` and builds every shard's sources in parallel.
@@ -91,8 +92,8 @@ class ShardedStore {
   std::shared_ptr<SourceStore> shard_ptr(size_t s) const {
     return shards_[s];
   }
-  /// The per-shard serving facade (full hybrid routing per shard).
-  const EntropyEngine& shard_engine(size_t s) const { return *engines_[s]; }
+  /// Shard s's router (full hybrid routing over that shard's sources).
+  const QueryRouter& shard_engine(size_t s) const { return routers_[s]; }
   PartitionScheme scheme() const { return scheme_; }
   /// Routing attribute (meaningful under PartitionScheme::kAttribute).
   AttrId partition_attr() const { return partition_attr_; }
@@ -124,10 +125,14 @@ class ShardedStore {
   /// TOTAL relation cardinality: the sum of per-shard n.
   double n() const { return total_n_; }
 
+  // Every single-query answer path below takes an optional `per_shard`:
+  // it receives shard s's own routing decision in slot s (a zone-map
+  // pruned shard gets `pruned` and `pruned_attr` instead) — the surface
+  // the facade's RouteDecision and entropydb_query's per-shard route lines
+  // are built from.
+
   /// Merged COUNT(*): every shard routes and answers, estimates and
-  /// variances sum. `per_shard` (optional) receives shard s's own routing
-  /// decision in slot s — the "per-shard route printing" surface of
-  /// entropydb_query.
+  /// variances sum.
   Result<QueryEstimate> Answer(
       const CountingQuery& q,
       std::vector<RouteDecision>* per_shard = nullptr) const;
@@ -149,13 +154,14 @@ class ShardedStore {
   /// Merged whole-attribute group-by: per-value counts are additive across
   /// shards exactly like plain COUNTs.
   Result<std::vector<QueryEstimate>> AnswerGroupByAttribute(
-      AttrId a, const CountingQuery& base) const;
+      AttrId a, const CountingQuery& base,
+      std::vector<RouteDecision>* per_shard = nullptr) const;
 
   /// Merged point group-by over explicit keys (additive per key).
   Result<std::map<std::vector<Code>, QueryEstimate>> AnswerGroupBy(
       const std::vector<AttrId>& attrs,
-      const std::vector<std::vector<Code>>& keys,
-      const CountingQuery& base) const;
+      const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+      std::vector<RouteDecision>* per_shard = nullptr) const;
 
   /// Batched COUNT workload: the shards x queries grid fans out flat on
   /// the ParallelFor pool (each cell is one shard answering one query into
@@ -239,11 +245,21 @@ class ShardedStore {
                AttrId partition_attr);
 
   /// True when shard `s`'s zone map proves `q` cannot match it (the skip
-  /// test every Answer* path runs). `*attr` gets the proving attribute.
-  bool Prunable(size_t s, const CountingQuery& q, AttrId* attr) const;
+  /// test every Answer* path runs); marks `*dec` (when non-null) pruned on
+  /// the proving attribute.
+  bool Prune(size_t s, const CountingQuery& q, RouteDecision* dec) const;
+
+  /// The single-query fan-out every merged answer shares: resets
+  /// `per_shard`, skips pruned shards, and calls `answer(router, dec)` for
+  /// each remaining shard in order (`dec` is that shard's decision slot,
+  /// null when `per_shard` is). The first failing shard's status returns.
+  template <typename AnswerFn>
+  Status ForEachShard(const CountingQuery& where,
+                      std::vector<RouteDecision>* per_shard,
+                      AnswerFn&& answer) const;
 
   std::vector<std::shared_ptr<SourceStore>> shards_;
-  std::vector<std::shared_ptr<EntropyEngine>> engines_;
+  std::vector<QueryRouter> routers_;
   /// One slot per shard; null = never pruned.
   std::vector<std::shared_ptr<const ZoneMap>> zone_maps_;
   PartitionScheme scheme_ = PartitionScheme::kRoundRobin;

@@ -79,13 +79,28 @@ Result<std::shared_ptr<SourceStore>> SourceStore::FromParts(
     if (e.summary == nullptr) {
       return Status::InvalidArgument("store entry without a summary");
     }
-    if (e.summary->num_attributes() != entries.front().summary->num_attributes() ||
-        e.summary->n() != entries.front().summary->n()) {
+  }
+  // Every source must model the SAME relation: same arity, and the same
+  // active domains attribute by attribute — a same-arity source of a
+  // DIFFERENT relation must not silently join the store (its codes would
+  // be position-compatible but mean different values, and group-by
+  // widths would depend on which source routing picked).
+  const EntropySummary& ref = *entries.front().summary;
+  for (const StoreEntry& e : entries) {
+    if (e.summary->num_attributes() != ref.num_attributes() ||
+        e.summary->n() != ref.n()) {
       return Status::InvalidArgument(
           "store entries disagree on the relation schema");
     }
+    for (AttrId a = 0; a < ref.num_attributes(); ++a) {
+      if (e.summary->registry().domain_size(a) !=
+          ref.registry().domain_size(a)) {
+        return Status::InvalidArgument(
+            "store entry domain size mismatch on attribute " +
+            std::to_string(a));
+      }
+    }
   }
-  const EntropySummary& ref = *entries.front().summary;
   for (const SampleEntry& s : samples) {
     if (s.sample == nullptr || s.sample->rows == nullptr) {
       return Status::InvalidArgument("store sample without a row table");
@@ -94,9 +109,6 @@ Result<std::shared_ptr<SourceStore>> SourceStore::FromParts(
       return Status::InvalidArgument(
           "store sample disagrees on the relation schema");
     }
-    // Same active domains attribute by attribute — a same-arity sample of
-    // a DIFFERENT relation must not silently join the store (its codes
-    // would be position-compatible but mean different values).
     for (AttrId a = 0; a < ref.num_attributes(); ++a) {
       if (s.sample->rows->domain(a).size() != ref.registry().domain_size(a)) {
         return Status::InvalidArgument(

@@ -123,9 +123,6 @@ class SourceStore {
   const EntropySummary& summary(size_t k) const {
     return *entries_[k].summary;
   }
-  std::shared_ptr<EntropySummary> summary_ptr(size_t k) const {
-    return entries_[k].summary;
-  }
 
   /// Number of sample companions (0 for a summary-only store).
   size_t num_samples() const { return samples_.size(); }
@@ -177,14 +174,15 @@ class SourceStore {
                                                    Env* env = Env::Default());
 
   /// Assembles a summary-only store from already-built summaries (also
-  /// handy for tests). Entries must be non-empty and agree on the
-  /// attribute schema.
+  /// handy for tests). Entries must be non-empty and agree on the arity,
+  /// n, and every attribute's domain size.
   static Result<std::shared_ptr<SourceStore>> FromEntries(
       std::vector<StoreEntry> entries);
 
   /// Assembles a store from already-built summaries AND samples (the path
   /// Load uses). At least one summary is required — the router's fallback
-  /// is always a summary; samples must share the summaries' arity.
+  /// is always a summary; every source must share the first summary's
+  /// arity and per-attribute domain sizes.
   static Result<std::shared_ptr<SourceStore>> FromParts(
       std::vector<StoreEntry> entries, std::vector<SampleEntry> samples);
 
@@ -197,10 +195,6 @@ class SourceStore {
   std::vector<std::shared_ptr<SampleSource>> sample_sources_;
   size_t widest_ = 0;
 };
-
-/// PR 2-era name for the summary-only store; SourceStore supersedes it and
-/// loads those directories unchanged.
-using SummaryStore = SourceStore;
 
 }  // namespace entropydb
 

@@ -50,8 +50,6 @@
 #include "engine/versioned.h"
 #include "maxent/answerer.h"
 #include "maxent/budget_advisor.h"
-#include "maxent/dense_model.h"
-#include "maxent/gradient_solver.h"
 #include "maxent/polynomial.h"
 #include "maxent/solver.h"
 #include "maxent/summary.h"
@@ -59,7 +57,6 @@
 #include "maxent/workspace_pool.h"
 #include "query/counting_query.h"
 #include "query/exact_evaluator.h"
-#include "query/linear_query.h"
 #include "query/parser.h"
 #include "query/predicate.h"
 #include "sampling/sample.h"

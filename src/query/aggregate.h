@@ -130,17 +130,19 @@ struct RouteDecision {
   /// no samples (the comparison then never picks a sample).
   double sample_variance = std::numeric_limits<double>::infinity();
 
-  // -- Shard pruning (engine/sharded_store.h, storage/zone_map.h) --------
-  // Only sharded answering fills these. Per-shard decision slots carry
-  // `pruned`; the facade-level decision EntropyEngine returns carries the
-  // aggregate counters.
+  // -- Shards (engine/sharded_store.h, storage/zone_map.h) --------------
+  // Per-shard decision slots (ShardedStore's `per_shard` outputs) carry
+  // `pruned`; the facade-level decision every EntropyEngine returns
+  // carries the counters — every engine serves a ShardedStore, so they
+  // are always filled there (a monolithic engine scans its one shard).
+  // A bare QueryRouter's decision leaves all four at their defaults.
   /// True when the shard's zone map proved the query cannot match: the
   /// shard was skipped and contributed an exact {0, 0} to the merge.
   bool pruned = false;
   /// The attribute whose zone map proved the miss (valid when `pruned`).
   AttrId pruned_attr = 0;
   /// Shards skipped / actually answered for this query (facade-level
-  /// aggregate; both 0 on non-sharded paths).
+  /// counters; they sum to the engine's shard count).
   size_t shards_pruned = 0;
   size_t shards_scanned = 0;
 };
@@ -187,7 +189,7 @@ struct QueryResult {
   /// TOPK cells, largest first.
   std::vector<GroupCell> cells;
 
-  /// How the query routed (facade-level aggregate for sharded engines).
+  /// How the query routed (the facade-level decision for engines).
   RouteDecision route;
 };
 

@@ -254,7 +254,7 @@ TEST_P(CompactionTest, AnswersInvariantAcrossCompaction) {
   // The engine facade opens the compacted store like any other.
   auto opened = EntropyEngine::Open(dir_);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_TRUE((*opened)->is_sharded());
+  EXPECT_EQ((*opened)->num_shards(), (*post_store)->num_shards());
   EXPECT_DOUBLE_EQ((*opened)->n(), pre_n);
 }
 

@@ -30,7 +30,7 @@ std::shared_ptr<Table> TwoPairTable(size_t n, uint64_t seed) {
 }
 
 struct RoutedFixture {
-  std::shared_ptr<SummaryStore> store;
+  std::shared_ptr<SourceStore> store;
   QueryRouter router;
   size_t pair01;  // entry modeling (0, 1)
   size_t pair23;  // entry modeling (2, 3)
@@ -42,7 +42,7 @@ struct RoutedFixture {
       opts.num_summaries = 2;
       opts.total_budget = 40;
       opts.summary.solver.max_iterations = 120;
-      auto store = SummaryStore::Build(*table, opts);
+      auto store = SourceStore::Build(*table, opts);
       EXPECT_TRUE(store.ok());
       size_t p01 = 0, p23 = 0;
       for (size_t k = 0; k < (*store)->size(); ++k) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "engine/engine.h"
 #include "engine/sharded_store.h"
 
 namespace entropydb {
@@ -287,8 +288,6 @@ TEST(ShardedStoreTest, EngineOpenDispatchesShardedVsMonolithic) {
   ASSERT_TRUE((*sharded)->Save(v3dir).ok());
   auto v3engine = EntropyEngine::Open(v3dir);
   ASSERT_TRUE(v3engine.ok()) << v3engine.status().ToString();
-  EXPECT_TRUE((*v3engine)->is_sharded());
-  EXPECT_TRUE((*v3engine)->is_store());
   EXPECT_EQ((*v3engine)->num_shards(), 2u);
   EXPECT_DOUBLE_EQ((*v3engine)->n(), 1500.0);
 
@@ -303,8 +302,7 @@ TEST(ShardedStoreTest, EngineOpenDispatchesShardedVsMonolithic) {
   EXPECT_FALSE(ShardedStore::IsShardedDir(v2dir));
   auto v2engine = EntropyEngine::Open(v2dir);
   ASSERT_TRUE(v2engine.ok());
-  EXPECT_FALSE((*v2engine)->is_sharded());
-  EXPECT_TRUE((*v2engine)->is_store());
+  EXPECT_EQ((*v2engine)->num_shards(), 1u);
 
   // The two layouts answer the same queries through one facade; sharded
   // estimates merge additively so totals track the monolithic ones.
@@ -341,8 +339,7 @@ TEST(ShardedStoreTest, EngineOpenDispatchesShardedVsMonolithic) {
   EXPECT_FALSE(ShardedStore::IsShardedDir(v1dir));
   auto v1engine = EntropyEngine::Open(v1dir);
   ASSERT_TRUE(v1engine.ok()) << v1engine.status().ToString();
-  EXPECT_FALSE((*v1engine)->is_sharded());
-  EXPECT_TRUE((*v1engine)->is_store());
+  EXPECT_EQ((*v1engine)->num_shards(), 1u);
   EXPECT_EQ((*v1engine)->num_samples(), 0u);
 
   fs::remove_all(v3dir);

@@ -181,5 +181,36 @@ TEST(SourceStoreTest, FromPartsValidatesSamples) {
   EXPECT_TRUE(SourceStore::FromParts({}, {}).status().IsInvalidArgument());
 }
 
+TEST(SourceStoreTest, RejectsSummariesOfAnotherRelation) {
+  // Same arity and n, different domains ({4, 3} vs {7, 3}): a summary of
+  // another relation. Admitted, it would make group-by widths, QUANTILE,
+  // TOPK and JOIN depend on which entry the router picked.
+  auto table = testutil::RandomTable({4, 3}, 300, 153);
+  auto other = testutil::RandomTable({7, 3}, 300, 157);
+  auto summary = EntropySummary::Build(*table, {});
+  auto foreign = EntropySummary::Build(*other, {});
+  ASSERT_TRUE(summary.ok());
+  ASSERT_TRUE(foreign.ok());
+  ASSERT_EQ((*summary)->n(), (*foreign)->n());
+  auto mixed = SourceStore::FromEntries(
+      {StoreEntry{*summary, {}}, StoreEntry{*foreign, {}}});
+  EXPECT_TRUE(mixed.status().IsInvalidArgument());
+
+  // On disk, a MANIFEST that names a foreign summary file is corruption.
+  auto store = SourceStore::FromEntries(
+      {StoreEntry{*summary, {}}, StoreEntry{*summary, {}}});
+  ASSERT_TRUE(store.ok());
+  const std::string dir =
+      (fs::temp_directory_path() / "entropydb_foreign_entry_test").string();
+  fs::remove_all(dir);
+  ASSERT_TRUE((*store)->Save(dir).ok());
+  ASSERT_TRUE(SourceStore::Load(dir).ok());
+  const std::string entry_file = (fs::path(dir) / "summary_1.edb").string();
+  ASSERT_TRUE((*foreign)->Save(entry_file).ok());
+  auto loaded = SourceStore::Load(dir);
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace entropydb

@@ -4,8 +4,8 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
-#include "maxent/dense_model.h"
 #include "maxent/solver.h"
+#include "oracles/dense_model.h"
 
 namespace entropydb {
 namespace {

@@ -4,7 +4,7 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
-#include "maxent/dense_model.h"
+#include "oracles/dense_model.h"
 
 namespace entropydb {
 namespace {

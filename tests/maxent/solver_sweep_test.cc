@@ -6,8 +6,8 @@
 
 #include "../test_util.h"
 #include "maxent/answerer.h"
-#include "maxent/dense_model.h"
 #include "maxent/solver.h"
+#include "oracles/dense_model.h"
 
 namespace entropydb {
 namespace {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
-#include "maxent/dense_model.h"
+#include "oracles/dense_model.h"
 
 namespace entropydb {
 namespace {

@@ -1,4 +1,4 @@
-#include "maxent/dense_model.h"
+#include "oracles/dense_model.h"
 
 #include <algorithm>
 #include <cmath>

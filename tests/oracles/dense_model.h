@@ -1,12 +1,13 @@
-#ifndef ENTROPYDB_MAXENT_DENSE_MODEL_H_
-#define ENTROPYDB_MAXENT_DENSE_MODEL_H_
+#ifndef ENTROPYDB_TESTS_ORACLES_DENSE_MODEL_H_
+#define ENTROPYDB_TESTS_ORACLES_DENSE_MODEL_H_
 
 #include <vector>
 
 #include "common/result.h"
 #include "maxent/mask.h"
 #include "maxent/variable_registry.h"
-#include "query/linear_query.h"
+#include "oracles/tuple_space.h"
+#include "query/counting_query.h"
 
 namespace entropydb {
 
@@ -23,7 +24,7 @@ struct DenseSolveReport {
 ///
 /// Exponential in the schema width — strictly a correctness oracle for unit
 /// and property tests of the compressed representation, the solver, and the
-/// optimized query answering path. Production code must never touch this.
+/// optimized query answering path, which is why it lives under tests/.
 class DenseMaxEntModel {
  public:
   /// Fails when |Tup| exceeds `max_tuples` (default 2^22).
@@ -74,4 +75,4 @@ class DenseMaxEntModel {
 
 }  // namespace entropydb
 
-#endif  // ENTROPYDB_MAXENT_DENSE_MODEL_H_
+#endif  // ENTROPYDB_TESTS_ORACLES_DENSE_MODEL_H_

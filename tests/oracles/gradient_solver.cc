@@ -1,4 +1,4 @@
-#include "maxent/gradient_solver.h"
+#include "oracles/gradient_solver.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef ENTROPYDB_MAXENT_GRADIENT_SOLVER_H_
-#define ENTROPYDB_MAXENT_GRADIENT_SOLVER_H_
+#ifndef ENTROPYDB_TESTS_ORACLES_GRADIENT_SOLVER_H_
+#define ENTROPYDB_TESTS_ORACLES_GRADIENT_SOLVER_H_
 
 #include "common/result.h"
 #include "maxent/polynomial.h"
@@ -28,8 +28,8 @@ struct GradientSolverOptions {
 /// solved using Gradient Descent. However, even this is difficult given the
 /// size of our model" — their remedy is the coordinate mirror-descent of
 /// Algorithm 1 (our MaxEntSolver). This class implements the gradient
-/// baseline so the claim is measurable: see bench_solver and the
-/// solver-comparison tests. The gradient in theta-space is
+/// baseline so the claim is measurable: see the solver-comparison tests
+/// (oracles/gradient_solver_test.cc). The gradient in theta-space is
 /// d(Psi)/d(theta_j) = s_j - E[<c_j, I>], evaluated with the same batched
 /// derivative machinery the fast solver uses.
 ///
@@ -58,4 +58,4 @@ class GradientMaxEntSolver {
 
 }  // namespace entropydb
 
-#endif  // ENTROPYDB_MAXENT_GRADIENT_SOLVER_H_
+#endif  // ENTROPYDB_TESTS_ORACLES_GRADIENT_SOLVER_H_

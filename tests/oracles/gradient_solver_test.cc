@@ -1,10 +1,10 @@
-#include "maxent/gradient_solver.h"
+#include "oracles/gradient_solver.h"
 
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
-#include "maxent/dense_model.h"
 #include "maxent/solver.h"
+#include "oracles/dense_model.h"
 
 namespace entropydb {
 namespace {

@@ -1,10 +1,9 @@
-#ifndef ENTROPYDB_QUERY_LINEAR_QUERY_H_
-#define ENTROPYDB_QUERY_LINEAR_QUERY_H_
+#ifndef ENTROPYDB_TESTS_ORACLES_TUPLE_SPACE_H_
+#define ENTROPYDB_TESTS_ORACLES_TUPLE_SPACE_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "query/counting_query.h"
 #include "storage/domain.h"
 
 namespace entropydb {
@@ -13,8 +12,8 @@ namespace entropydb {
 /// (Fig 1 of the paper).
 ///
 /// Tuple (c1, .., cm) maps to index sum_i c_i * stride_i. Only usable when
-/// |Tup| fits in memory; the dense reference model and property tests rely on
-/// it, while production paths never materialize Tup.
+/// |Tup| fits in memory: a test oracle for the dense reference model —
+/// the library never materializes Tup.
 class TupleSpace {
  public:
   explicit TupleSpace(std::vector<uint32_t> domain_sizes)
@@ -54,39 +53,6 @@ class TupleSpace {
   uint64_t total_ = 1;
 };
 
-/// \brief A linear query q in R^d over the tuple space (Sec 3.1): the answer
-/// on instance I is <q, n^I>.
-///
-/// Dense representation — test/reference use only.
-class LinearQuery {
- public:
-  explicit LinearQuery(uint64_t d) : coeffs_(d, 0.0) {}
-
-  /// Lifts a conjunctive counting query to its 0/1 coefficient vector.
-  static LinearQuery FromCounting(const TupleSpace& space,
-                                  const CountingQuery& q) {
-    LinearQuery lq(space.size());
-    for (uint64_t i = 0; i < space.size(); ++i) {
-      lq.coeffs_[i] = q.Matches(space.TupleAt(i)) ? 1.0 : 0.0;
-    }
-    return lq;
-  }
-
-  double& operator[](uint64_t i) { return coeffs_[i]; }
-  double operator[](uint64_t i) const { return coeffs_[i]; }
-  uint64_t dimension() const { return coeffs_.size(); }
-
-  /// <q, n> for a frequency vector n.
-  double Dot(const std::vector<double>& freq) const {
-    double s = 0.0;
-    for (uint64_t i = 0; i < coeffs_.size(); ++i) s += coeffs_[i] * freq[i];
-    return s;
-  }
-
- private:
-  std::vector<double> coeffs_;
-};
-
 }  // namespace entropydb
 
-#endif  // ENTROPYDB_QUERY_LINEAR_QUERY_H_
+#endif  // ENTROPYDB_TESTS_ORACLES_TUPLE_SPACE_H_

@@ -7,13 +7,15 @@
 //   entropydb_query --store flights.store
 //       --query "COUNT(*) WHERE origin = S3 AND dest = S7"
 //
-// --store loads a SourceStore directory (summaries + sample companions)
-// and routes every query through the engine's hybrid QueryRouter, printing
-// which source — summary or sample — answered and why (coverage, the
-// summary-vs-sample variance comparison, fallback). A sharded (MANIFEST
-// v3) directory loads the same way — EntropyEngine::Open dispatches — and
-// each query prints ONE route line PER SHARD: the fan-out picks the best
-// source independently inside every shard before the estimates merge.
+// --summary and --store are two spellings of one path argument:
+// EntropyEngine::Open sniffs a file (one summary), a monolithic store
+// directory (summaries + sample companions), a sharded directory, or a
+// versioned root, and serves every one of them as a sharded store — a
+// summary is a one-entry store, a monolithic store one shard. So every
+// engine prints the same load banner, and every query prints ONE route
+// line PER SHARD: which source — summary or sample — answered inside that
+// shard and why (coverage, the summary-vs-sample variance comparison,
+// fallback, or zone-map pruning) before the estimates merge.
 // Without --query, reads one query per line from stdin (a tiny REPL).
 //
 // The dialect covers COUNT/SUM/AVG plus QUANTILE(attr, q) and
@@ -36,45 +38,50 @@ using namespace entropydb;
 
 namespace {
 
-/// One route line for a decision made against `store` (a monolithic store,
-/// or one shard of a sharded store). `label` prefixes the line — "routed"
-/// for the monolithic path, "shard K" for per-shard printing.
-void PrintStoreRoute(const std::vector<std::string>& names,
+/// One route line for shard `s`'s decision, made against that shard's
+/// store. `estimated` is false for group-by routings (QUANTILE/TOPK),
+/// whose decisions carry no estimate variance of their own.
+void PrintShardRoute(const std::vector<std::string>& names,
                      const SourceStore& store, const RouteDecision& dec,
-                     const std::string& label) {
+                     size_t s, bool estimated) {
   if (dec.pruned) {
     std::fprintf(stderr,
-                 "  %s: pruned — zone map on %s proves no row can match\n",
-                 label.c_str(), names[dec.pruned_attr].c_str());
+                 "  shard %zu: pruned — zone map on %s proves no row can "
+                 "match\n",
+                 s, names[dec.pruned_attr].c_str());
     return;
   }
   if (dec.from_sample) {
     const SampleEntry& entry = store.sample_entry(dec.sample_index);
     std::fprintf(stderr,
-                 "  %s: sample %zu %s — sample variance %.3g beats "
+                 "  shard %zu: sample %zu %s — sample variance %.3g beats "
                  "summary %zu's %.3g\n",
-                 label.c_str(), dec.sample_index, entry.sample->name.c_str(),
+                 s, dec.sample_index, entry.sample->name.c_str(),
                  dec.sample_variance, dec.index, dec.summary_variance);
     return;
   }
   const StoreEntry& entry = store.entry(dec.index);
   std::string pairs;
   for (const ScoredPair& p : entry.pairs) {
-    if (!pairs.empty()) pairs += ", ";
-    pairs += "(" + names[p.a] + ", " + names[p.b] + ")";
+    pairs += pairs.empty() ? " (" : ", (";
+    pairs += names[p.a] + ", " + names[p.b] + ")";
   }
   if (dec.fallback) {
     std::fprintf(stderr,
-                 "  %s: summary %zu %s — fallback (no summary models "
+                 "  shard %zu: summary %zu%s — fallback (no summary models "
                  "the constrained pairs)\n",
-                 label.c_str(), dec.index, pairs.c_str());
+                 s, dec.index, pairs.c_str());
   } else {
     std::fprintf(stderr,
-                 "  %s: summary %zu %s — covers %zu pair%s"
-                 " (%zu candidate%s, variance %.3g)\n",
-                 label.c_str(), dec.index, pairs.c_str(), dec.covered_pairs,
+                 "  shard %zu: summary %zu%s — covers %zu pair%s"
+                 " (%zu candidate%s",
+                 s, dec.index, pairs.c_str(), dec.covered_pairs,
                  dec.covered_pairs == 1 ? "" : "s", dec.candidates,
-                 dec.candidates == 1 ? "" : "s", dec.expected_variance);
+                 dec.candidates == 1 ? "" : "s");
+    if (estimated) {
+      std::fprintf(stderr, ", variance %.3g", dec.expected_variance);
+    }
+    std::fprintf(stderr, ")\n");
   }
   if (store.num_samples() > 0 &&
       dec.sample_variance < std::numeric_limits<double>::infinity()) {
@@ -88,30 +95,74 @@ void PrintStoreRoute(const std::vector<std::string>& names,
   }
 }
 
-void PrintRoute(const EntropyEngine& engine, const RouteDecision& dec) {
-  if (!engine.is_store() || engine.is_sharded()) return;
-  PrintStoreRoute(engine.attr_names(), *engine.store(), dec, "routed");
-}
-
-/// Sharded stores print one route line per shard: the whole point of
-/// per-shard routing is that the best source can differ shard to shard.
-void PrintShardRoutes(const EntropyEngine& engine,
-                      const std::vector<RouteDecision>& decs) {
-  for (size_t s = 0; s < decs.size(); ++s) {
-    PrintStoreRoute(engine.attr_names(), engine.sharded()->shard(s), decs[s],
-                    "shard " + std::to_string(s));
-  }
-  // The per-query pruning summary: how much of the fan-out the zone maps
-  // saved, and which attribute did the proving.
+/// One route line per shard — the best source can differ shard to shard —
+/// then the per-query pruning summary: how much of the fan-out the zone
+/// maps saved, and which attribute did the proving.
+void PrintRoutes(const EntropyEngine& engine,
+                 const std::vector<RouteDecision>& decs, bool estimated) {
   size_t pruned = 0;
   AttrId pruned_attr = 0;
-  for (const RouteDecision& d : decs) {
-    if (d.pruned && pruned++ == 0) pruned_attr = d.pruned_attr;
+  for (size_t s = 0; s < decs.size(); ++s) {
+    PrintShardRoute(engine.attr_names(), engine.sharded()->shard(s), decs[s],
+                    s, estimated);
+    if (decs[s].pruned && pruned++ == 0) pruned_attr = decs[s].pruned_attr;
   }
   if (pruned > 0) {
     std::fprintf(stderr, "  pruned %zu/%zu shards via zone map on %s\n",
                  pruned, decs.size(),
                  engine.attr_names()[pruned_attr].c_str());
+  }
+}
+
+/// The load banner: partitioning and totals, then every shard's sources
+/// with their modeled / stratification pairs.
+void PrintBanner(const EntropyEngine& engine) {
+  const ShardedStore& sharded = *engine.sharded();
+  const std::vector<std::string>& names = engine.attr_names();
+  std::string scheme_desc = PartitionSchemeName(sharded.scheme());
+  if (sharded.scheme() == PartitionScheme::kAttribute) {
+    scheme_desc += ":" + names[sharded.partition_attr()];
+  }
+  size_t with_zone_maps = 0;
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    with_zone_maps += sharded.zone_map(s) != nullptr ? 1 : 0;
+  }
+  std::fprintf(stderr,
+               "loaded store: %zu shard%s (%s partitioning, %zu with zone "
+               "maps, compaction generation %llu), %zu summaries + %zu "
+               "samples total, n = %.0f, attributes:",
+               sharded.num_shards(), sharded.num_shards() == 1 ? "" : "s",
+               scheme_desc.c_str(), with_zone_maps,
+               static_cast<unsigned long long>(sharded.compaction_gen()),
+               engine.num_summaries(), engine.num_samples(), engine.n());
+  for (const std::string& name : names) {
+    std::fprintf(stderr, " %s", name.c_str());
+  }
+  std::fprintf(stderr, "\n");
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    const SourceStore& shard = sharded.shard(s);
+    std::fprintf(stderr, "  shard %zu: %zu summaries + %zu samples, n = %.0f\n",
+                 s, shard.size(), shard.num_samples(), shard.n());
+    for (size_t k = 0; k < shard.size(); ++k) {
+      std::fprintf(stderr, "    summary %zu:", k);
+      for (const ScoredPair& p : shard.entry(k).pairs) {
+        std::fprintf(stderr, " (%s, %s) V=%.3f", names[p.a].c_str(),
+                     names[p.b].c_str(), p.cramers_v);
+      }
+      std::fprintf(stderr, "%s\n", k == shard.widest() ? " [fallback]" : "");
+    }
+    for (size_t i = 0; i < shard.num_samples(); ++i) {
+      const SampleEntry& e = shard.sample_entry(i);
+      std::fprintf(stderr, "    sample %zu: %s,", i, e.sample->name.c_str());
+      // Stratification pairs from the manifest metadata (uniform samples
+      // carry none).
+      for (const ScoredPair& p : e.pairs) {
+        std::fprintf(stderr, " stratified on (%s, %s) V=%.3f,",
+                     names[p.a].c_str(), names[p.b].c_str(), p.cramers_v);
+      }
+      std::fprintf(stderr, " %zu rows (fraction %.3g)\n", e.sample->size(),
+                   e.sample->fraction);
+    }
   }
 }
 
@@ -147,17 +198,8 @@ int RunOne(const EntropyEngine& engine, const std::string& text) {
       break;
   }
   Timer timer;
-  RouteDecision dec;
-  // COUNT/SUM/AVG on sharded engines answer through the sharded store
-  // directly so the per-shard routing decisions are available for
-  // printing; QUANTILE/TOPK derive at the engine facade either way.
   std::vector<RouteDecision> shard_decs;
-  const bool per_shard =
-      engine.is_sharded() &&
-      (query.kind == AggregateKind::kCount ||
-       query.kind == AggregateKind::kSum || query.kind == AggregateKind::kAvg);
-  auto res = per_shard ? engine.sharded()->Answer(query, &shard_decs)
-                       : engine.Answer(query, &dec);
+  auto res = engine.Answer(query, nullptr, &shard_decs);
   if (!res.ok()) {
     std::fprintf(stderr, "answer: %s\n", res.status().ToString().c_str());
     return 1;
@@ -194,11 +236,9 @@ int RunOne(const EntropyEngine& engine, const std::string& text) {
       break;
     }
   }
-  if (per_shard) {
-    PrintShardRoutes(engine, shard_decs);
-  } else {
-    PrintRoute(engine, dec);
-  }
+  const bool estimated = query.kind != AggregateKind::kQuantile &&
+                         query.kind != AggregateKind::kTopK;
+  PrintRoutes(engine, shard_decs, estimated);
   return 0;
 }
 
@@ -278,68 +318,7 @@ int main(int argc, char** argv) {
                  "entropydb_build\n");
     return 1;
   }
-  if ((*engine)->is_sharded()) {
-    const ShardedStore& sharded = *(*engine)->sharded();
-    std::string scheme_desc = PartitionSchemeName(sharded.scheme());
-    if (sharded.scheme() == PartitionScheme::kAttribute) {
-      scheme_desc +=
-          ":" + (*engine)->attr_names()[sharded.partition_attr()];
-    }
-    size_t with_zone_maps = 0;
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      with_zone_maps += sharded.zone_map(s) != nullptr ? 1 : 0;
-    }
-    std::fprintf(stderr,
-                 "loaded sharded store: %zu shards (%s partitioning, "
-                 "%zu with zone maps, compaction generation %llu), "
-                 "%zu summaries + %zu samples total, n = %.0f\n",
-                 sharded.num_shards(), scheme_desc.c_str(), with_zone_maps,
-                 static_cast<unsigned long long>(sharded.compaction_gen()),
-                 (*engine)->num_summaries(), (*engine)->num_samples(),
-                 (*engine)->n());
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      const SourceStore& shard = sharded.shard(s);
-      std::fprintf(stderr, "  shard %zu: %zu summaries + %zu samples, "
-                   "n = %.0f\n",
-                   s, shard.size(), shard.num_samples(), shard.n());
-    }
-  } else if ((*engine)->is_store()) {
-    std::fprintf(stderr, "loaded store: %zu summaries + %zu samples, "
-                 "n = %.0f\n",
-                 (*engine)->num_summaries(), (*engine)->num_samples(),
-                 (*engine)->n());
-    for (size_t k = 0; k < (*engine)->num_summaries(); ++k) {
-      const StoreEntry& e = (*engine)->store()->entry(k);
-      std::fprintf(stderr, "  summary %zu:", k);
-      for (const ScoredPair& p : e.pairs) {
-        std::fprintf(stderr, " (%s, %s) V=%.3f",
-                     (*engine)->attr_names()[p.a].c_str(),
-                     (*engine)->attr_names()[p.b].c_str(), p.cramers_v);
-      }
-      std::fprintf(stderr, "%s\n",
-                   k == (*engine)->store()->widest() ? "  [fallback]" : "");
-    }
-    for (size_t s = 0; s < (*engine)->num_samples(); ++s) {
-      const SampleEntry& e = (*engine)->store()->sample_entry(s);
-      std::fprintf(stderr, "  sample %zu: %s,", s, e.sample->name.c_str());
-      // Stratification pairs from the manifest metadata (uniform samples
-      // carry none).
-      for (const ScoredPair& p : e.pairs) {
-        std::fprintf(stderr, " stratified on (%s, %s) V=%.3f,",
-                     (*engine)->attr_names()[p.a].c_str(),
-                     (*engine)->attr_names()[p.b].c_str(), p.cramers_v);
-      }
-      std::fprintf(stderr, " %zu rows (fraction %.3g)\n", e.sample->size(),
-                   e.sample->fraction);
-    }
-  } else {
-    std::fprintf(stderr, "loaded summary: n = %.0f, attributes:",
-                 (*engine)->n());
-    for (const auto& name : (*engine)->attr_names()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-  }
+  PrintBanner(**engine);
 
   if (args.count("query")) {
     return right != nullptr ? RunOneJoin(**engine, *right, args["query"])
