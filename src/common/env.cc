@@ -269,21 +269,16 @@ Status WriteChecksummedFile(Env* env, const std::string& path,
 }
 
 Result<std::string> ReadChecksummedFile(Env* env, const std::string& path,
-                                        bool verify, bool* had_footer) {
+                                        bool verify) {
   std::string contents;
   RETURN_NOT_OK(env->ReadFile(path, &contents));
-  if (had_footer != nullptr) *had_footer = false;
   if (contents.size() < kFooterSize ||
       contents.compare(contents.size() - kFooterSize,
                        sizeof(kFooterTag) - 1, kFooterTag) != 0 ||
       contents.back() != '\n') {
-    // Legacy pre-checksum artifact: the caller decides whether its format
-    // version tolerates that (v1/v2/v3 do; checksummed-era versions must
-    // reject it as corruption).
-    return contents;
+    return Status::Corruption("missing checksum footer in " + path);
   }
   const size_t footer_at = contents.size() - kFooterSize;
-  if (had_footer != nullptr) *had_footer = true;
   if (verify) {
     const std::string hex =
         contents.substr(footer_at + sizeof(kFooterTag) - 1, 8);

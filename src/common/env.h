@@ -101,27 +101,22 @@ class Env {
 // Checksummed text artifacts.
 //
 // Every EntropyDB text artifact (summary .edb, sample .eds, store
-// MANIFEST) is persisted with a CRC32C footer line "crc32c <8 hex>\n"
-// computed over every preceding byte. Readers verify the footer before
-// parsing and return kCorruption on mismatch — a bit-flip is rejected, not
-// loaded as silently-wrong estimates. Artifacts from the pre-checksum era
-// carry no footer; they load with a warning (stderr), keeping v1/v2/v3
-// stores readable.
+// MANIFEST, versioned-root CURRENT) is persisted with a CRC32C footer line
+// "crc32c <8 hex>\n" computed over every preceding byte. Readers verify
+// the footer before parsing and return kCorruption on mismatch — a
+// bit-flip is rejected, not loaded as silently-wrong estimates.
 
 /// Appends the CRC32C footer to `payload` and writes it through `env`.
 Status WriteChecksummedFile(Env* env, const std::string& path,
                             std::string payload, bool sync = true);
 
 /// Reads `path`, verifies and strips the CRC32C footer, and returns the
-/// payload. A missing footer is tolerated (legacy artifact): the full
-/// contents are returned and `*had_footer` (optional) is set false — the
-/// caller decides whether its format version requires one. A present but
-/// mismatching footer is kCorruption. `verify` = false skips the CRC
-/// computation (bench_durability's checksums-off mode) but still strips
-/// the footer.
+/// payload. A missing or mismatching footer is kCorruption: every artifact
+/// carries one, so a file without it was truncated or never ours.
+/// `verify` = false skips the CRC computation (bench_durability's
+/// checksums-off mode) but still requires and strips the footer.
 Result<std::string> ReadChecksummedFile(Env* env, const std::string& path,
-                                        bool verify = true,
-                                        bool* had_footer = nullptr);
+                                        bool verify = true);
 
 // ---------------------------------------------------------------------
 // Atomic directory publication.

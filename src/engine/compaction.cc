@@ -11,7 +11,6 @@
 #include "storage/partitioner.h"
 #include "storage/table_builder.h"
 #include "storage/wal.h"
-#include "storage/zone_map.h"
 
 namespace entropydb {
 
@@ -73,8 +72,7 @@ Result<CompactionPlan> PlanFromState(const std::string& dir,
   }
 
   std::string oversized;
-  if (opts.split_threshold > 0 &&
-      m.shard_rows.size() == m.shard_dirs.size()) {
+  if (opts.split_threshold > 0) {
     for (size_t i = 0; i < m.shard_dirs.size(); ++i) {
       if (IsBatchLineageShard(m.shard_dirs[i]) &&
           m.shard_rows[i] > opts.split_threshold) {
@@ -229,13 +227,6 @@ Result<CompactionReport> RunCompaction(const std::string& store_dir,
     const std::string shard_dir =
         (fs::path(store_dir) / new_dirs[j]).string();
     statuses[j] = (*built)->Save(shard_dir, env);
-    if (statuses[j].ok()) {
-      // Zone map durable BEFORE the manifest can name it (the ingest
-      // seal's write order).
-      statuses[j] = ZoneMap::Build(*parts[j]).Save(
-          env, (fs::path(shard_dir) / kZoneMapFileName).string());
-    }
-    if (statuses[j].ok()) statuses[j] = env->SyncDir(shard_dir);
   });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
@@ -250,24 +241,15 @@ Result<CompactionReport> RunCompaction(const std::string& store_dir,
   next.partition_attr = m.partition_attr;
   next.wal_sealed = m.wal_sealed;
   next.compaction_gen = gen;
-  const bool rows_known = m.shard_rows.size() == m.shard_dirs.size();
   for (size_t i = 0; i < m.shard_dirs.size(); ++i) {
     if (IsBatchLineageShard(m.shard_dirs[i])) continue;
     next.shard_dirs.push_back(m.shard_dirs[i]);
-    if (rows_known) next.shard_rows.push_back(m.shard_rows[i]);
-    for (const std::string& z : m.zonemap_dirs) {
-      if (z == m.shard_dirs[i]) {
-        next.zonemap_dirs.push_back(z);
-        break;
-      }
-    }
+    next.shard_rows.push_back(m.shard_rows[i]);
   }
   for (size_t j = 0; j < parts.size(); ++j) {
     next.shard_dirs.push_back(new_dirs[j]);
-    next.zonemap_dirs.push_back(new_dirs[j]);
-    if (rows_known) next.shard_rows.push_back(parts[j]->num_rows());
+    next.shard_rows.push_back(parts[j]->num_rows());
   }
-  if (!rows_known) next.shard_rows.clear();
   RETURN_NOT_OK(ShardedStore::WriteManifest(store_dir, next, env));
 
   // GC the replaced dirs. The flip above already committed, so a crash

@@ -37,9 +37,8 @@ namespace entropydb {
 /// tests/engine/compaction_crash_test.cc):
 ///   1. Every replacement shard is built and atomically published at
 ///      `<dir>/shard_c<gen>_<j>` (staged `.tmp-*` sibling + rename, the
-///      same protocol as every store save), with its zone map written
-///      and the shard dir synced — all while the live manifest still
-///      points at the old shards.
+///      same protocol as every store save) — all while the live manifest
+///      still points at the old shards.
 ///   2. ONE ShardedStore::WriteManifest swaps the shard list, records
 ///      the bumped compaction generation, and keeps `wal_sealed`
 ///      unchanged. This rename is the only commit point.
@@ -72,9 +71,8 @@ struct CompactionOptions {
   /// more rows than this is split, and the rebuilt shard set targets
   /// ceil(total_rows / split_threshold) outputs. 0 disables splitting —
   /// all batch-lineage rows merge into a single replacement shard. The
-  /// oversize trigger needs the manifest's per-shard row counts
-  /// (Manifest::shard_rows); manifests from before that field only
-  /// trigger on the batch-shard count.
+  /// oversize trigger reads the manifest's per-shard row counts
+  /// (Manifest::shard_rows), so planning never loads a shard.
   uint64_t split_threshold = 0;
   /// Run whenever at least one batch-lineage shard exists, regardless of
   /// the triggers above.

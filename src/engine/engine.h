@@ -77,8 +77,9 @@ class EntropyEngine {
   static std::shared_ptr<EntropyEngine> FromSharded(
       std::shared_ptr<ShardedStore> sharded);
   /// Opens a persisted engine: a directory loads as a SourceStore
-  /// (MANIFEST v1/v2/v4-mono) or a ShardedStore (MANIFEST v3/v4-sharded),
-  /// a file as a single summary — each wrapped into the one shape. A
+  /// (MANIFEST v4 mono) or a ShardedStore (MANIFEST v4 sharded), a file
+  /// as a single summary (format v2) — each wrapped into the one shape,
+  /// and every artifact must carry its checksum footer. A
   /// *versioned root* (a directory holding a CURRENT pointer — see
   /// storage/version_set.h) resolves to its current version's store
   /// directory first, so callers point at the root and transparently read

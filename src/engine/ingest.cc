@@ -8,7 +8,6 @@
 #include "engine/sharded_store.h"
 #include "storage/table_builder.h"
 #include "storage/wal.h"
-#include "storage/zone_map.h"
 
 namespace entropydb {
 
@@ -105,24 +104,8 @@ Status SealBatch(const std::string& dir, ShardedStore::Manifest* m,
   const std::string shard_name = "shard_b" + std::to_string(batch_index);
   const std::string shard_dir = (fs::path(dir) / shard_name).string();
   RETURN_NOT_OK(shard->Save(shard_dir, env));
-  // The sealed shard's zone map is durable BEFORE the manifest names it:
-  // the manifest must never point at a zone map that could vanish in a
-  // crash (a missing file only degrades to full fan-out, but the write
-  // order keeps even that from happening on a clean seal). Replay after a
-  // crash rebuilds both the shard and its map idempotently.
-  RETURN_NOT_OK(ZoneMap::Build(*table).Save(
-      env, (fs::path(shard_dir) / kZoneMapFileName).string()));
-  RETURN_NOT_OK(env->SyncDir(shard_dir));
-  // Keep the manifest's per-shard row counts (the compaction planner's
-  // oversize trigger) aligned with the shard list; a legacy manifest
-  // with no counts stays count-free rather than partially counted.
-  if (m->shard_rows.size() == m->shard_dirs.size()) {
-    m->shard_rows.push_back(table->num_rows());
-  } else {
-    m->shard_rows.clear();
-  }
   m->shard_dirs.push_back(shard_name);
-  m->zonemap_dirs.push_back(shard_name);
+  m->shard_rows.push_back(table->num_rows());
   m->wal_sealed = batch_index + 1;
   // The commit point: shard list and sealed cursor flip together.
   return ShardedStore::WriteManifest(dir, *m, env);

@@ -46,7 +46,7 @@ struct IngestReport {
 /// written behind it; fully-synced records are never lost. The journal
 /// itself is append-only and never compacted (see ROADMAP.md).
 ///
-/// Constraints: the store must be sharded (v3/v4) and carry persisted
+/// Constraints: the store must be sharded and carry persisted
 /// domains; batch rows must encode within them — ingest never widens a
 /// domain, and a row with an unknown label fails the seal with the batch
 /// kept pending in the journal.

@@ -1,7 +1,5 @@
 #include "engine/query_router.h"
 
-#include "common/thread_pool.h"
-
 namespace entropydb {
 
 std::vector<size_t> QueryRouter::CoveringEntries(
@@ -233,37 +231,6 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryRouter::AnswerGroupBy(
     RouteDecision* decision) const {
   return store_->summary(RouteEntry(base, attrs, decision))
       .AnswerGroupBy(attrs, keys, base);
-}
-
-Result<std::vector<QueryEstimate>> QueryRouter::AnswerAll(
-    const CountingQuery* qs, size_t count,
-    std::vector<RouteDecision>* decisions) const {
-  std::vector<QueryEstimate> out(count);
-  if (decisions != nullptr) decisions->assign(count, RouteDecision{});
-  std::vector<Status> statuses(count, Status::OK());
-  // Disjoint output slots: the fan-out answers exactly what the serial
-  // loop would, and the pooled workspaces underneath keep per-summary
-  // evaluation concurrent rather than serialized.
-  ParallelFor(count, 2, [&](size_t i) {
-    RouteDecision dec;
-    auto est = Answer(qs[i], &dec);
-    if (!est.ok()) {
-      statuses[i] = est.status();
-      return;
-    }
-    out[i] = *est;
-    if (decisions != nullptr) (*decisions)[i] = dec;
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return out;
-}
-
-Result<std::vector<QueryEstimate>> QueryRouter::AnswerAll(
-    const std::vector<CountingQuery>& qs,
-    std::vector<RouteDecision>* decisions) const {
-  return AnswerAll(qs.data(), qs.size(), decisions);
 }
 
 }  // namespace entropydb

@@ -16,8 +16,8 @@
 namespace entropydb {
 
 /// \brief Routes each query to the store source — maxent summary or
-/// weighted sample — expected to answer it best, and fans batched
-/// workloads across the pool.
+/// weighted sample — expected to answer it best. Batched workloads fan
+/// out one level up, in ShardedStore::AnswerAll.
 ///
 /// Routing rule (see docs/ESTIMATORS.md and docs/ARCHITECTURE.md):
 ///  1. Coverage: an entry covers a query through every modeled attribute
@@ -127,16 +127,6 @@ class QueryRouter {
       const std::vector<AttrId>& attrs,
       const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
       RouteDecision* decision = nullptr) const;
-
-  /// Routes and answers a whole workload, fanned across the shared thread
-  /// pool; slot i of the result (and of `decisions`) corresponds to qs[i].
-  /// Answers are identical to calling Answer per query serially.
-  Result<std::vector<QueryEstimate>> AnswerAll(
-      const CountingQuery* qs, size_t count,
-      std::vector<RouteDecision>* decisions = nullptr) const;
-  Result<std::vector<QueryEstimate>> AnswerAll(
-      const std::vector<CountingQuery>& qs,
-      std::vector<RouteDecision>* decisions = nullptr) const;
 
  private:
   std::shared_ptr<const SourceStore> store_;

@@ -1,7 +1,6 @@
 #include "engine/sharded_store.h"
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
@@ -13,7 +12,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kManifestV3[] = "ENTROPYDB_STORE_V3";
 constexpr char kManifestV4[] = "ENTROPYDB_STORE_V4";
 
 std::string ManifestPayload(const ShardedStore::Manifest& m) {
@@ -24,22 +22,11 @@ std::string ManifestPayload(const ShardedStore::Manifest& m) {
   out << "wal_sealed " << m.wal_sealed << "\n";
   out << "shards " << m.shard_dirs.size() << "\n";
   for (const std::string& d : m.shard_dirs) out << "shard " << d << "\n";
-  // The zone-map section is optional: pre-pruning stores list none and
-  // load unchanged (they simply never prune).
-  if (!m.zonemap_dirs.empty()) {
-    out << "zonemaps " << m.zonemap_dirs.size() << "\n";
-    for (const std::string& d : m.zonemap_dirs) {
-      out << "zonemap " << d << "\n";
-    }
-  }
-  // Also optional: compaction lineage (engine/compaction.h) and the
-  // per-shard row counts its planner triggers on. Both default silently
-  // for pre-compaction-era manifests.
+  // The compaction generation (engine/compaction.h) is written only once
+  // a compaction has run; readers default it to 0.
   if (m.compaction_gen > 0) out << "gen " << m.compaction_gen << "\n";
-  if (m.shard_rows.size() == m.shard_dirs.size() && !m.shard_rows.empty()) {
-    out << "shardrows " << m.shard_rows.size() << "\n";
-    for (uint64_t r : m.shard_rows) out << "shardrow " << r << "\n";
-  }
+  out << "shardrows " << m.shard_rows.size() << "\n";
+  for (uint64_t r : m.shard_rows) out << "shardrow " << r << "\n";
   return out.str();
 }
 
@@ -53,24 +40,25 @@ void MergeInto(QueryEstimate* merged, const QueryEstimate& shard) {
 
 }  // namespace
 
-ShardedStore::ShardedStore(
-    std::vector<std::shared_ptr<SourceStore>> shards, PartitionScheme scheme,
-    std::vector<std::shared_ptr<const ZoneMap>> zone_maps,
-    AttrId partition_attr)
+ShardedStore::ShardedStore(std::vector<std::shared_ptr<SourceStore>> shards,
+                           PartitionScheme scheme, AttrId partition_attr)
     : shards_(std::move(shards)),
-      zone_maps_(std::move(zone_maps)),
       scheme_(scheme),
       partition_attr_(partition_attr) {
   routers_.reserve(shards_.size());
+  zone_maps_.reserve(shards_.size());
   for (const auto& s : shards_) {
     routers_.emplace_back(s);
+    // Every summary of a shard carries the exact 1-D statistics of the
+    // shard's rows, so the first one already says which codes occur.
+    zone_maps_.push_back(std::make_shared<const ZoneMap>(ZoneMap::FromCounts(
+        s->entry(0).summary->registry().one_d_targets())));
     total_n_ += s->n();
   }
 }
 
 Result<std::shared_ptr<ShardedStore>> ShardedStore::FromShards(
     std::vector<std::shared_ptr<SourceStore>> shards, PartitionScheme scheme,
-    std::vector<std::shared_ptr<const ZoneMap>> zone_maps,
     AttrId partition_attr) {
   if (shards.empty()) {
     return Status::InvalidArgument("a sharded store needs at least one shard");
@@ -100,27 +88,6 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::FromShards(
       }
     }
   }
-  if (zone_maps.empty()) {
-    zone_maps.resize(shards.size());  // nulls: no shard ever prunes
-  } else if (zone_maps.size() != shards.size()) {
-    return Status::InvalidArgument(
-        "zone map list must be empty or hold one entry per shard");
-  }
-  for (const auto& zm : zone_maps) {
-    if (zm == nullptr) continue;
-    if (zm->num_attributes() != ref.num_attributes()) {
-      return Status::InvalidArgument(
-          "zone map disagrees with the shards on the relation arity");
-    }
-    for (AttrId a = 0; a < ref.num_attributes(); ++a) {
-      if (zm->domain_size(a) !=
-          ref.entry(0).summary->registry().domain_size(a)) {
-        return Status::InvalidArgument(
-            "zone map disagrees on the domain of attribute " +
-            std::to_string(a));
-      }
-    }
-  }
   if (scheme == PartitionScheme::kAttribute &&
       partition_attr >= ref.num_attributes()) {
     return Status::InvalidArgument(
@@ -128,8 +95,7 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::FromShards(
         " out of range");
   }
   return std::shared_ptr<ShardedStore>(
-      new ShardedStore(std::move(shards), scheme, std::move(zone_maps),
-                       partition_attr));
+      new ShardedStore(std::move(shards), scheme, partition_attr));
 }
 
 Result<std::shared_ptr<ShardedStore>> ShardedStore::Build(const Table& table,
@@ -156,7 +122,6 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Build(const Table& table,
   // internal ParallelFor calls degrade inline on worker threads. Outputs
   // land in disjoint slots, so the result is deterministic.
   std::vector<std::shared_ptr<SourceStore>> built(shards.size());
-  std::vector<std::shared_ptr<const ZoneMap>> zone_maps(shards.size());
   std::vector<Status> statuses(shards.size(), Status::OK());
   ParallelFor(shards.size(), 2, [&](size_t s) {
     StoreOptions per_shard = shard_opts;
@@ -169,22 +134,17 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Build(const Table& table,
       return;
     }
     built[s] = *store;
-    // Seal-time metadata: the zone map records exactly which codes this
-    // shard's rows touch, while the shard table is still in hand.
-    zone_maps[s] = std::make_shared<const ZoneMap>(ZoneMap::Build(*shards[s]));
   });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }
-  return FromShards(std::move(built), opts.scheme, std::move(zone_maps),
-                    opts.partition_attr);
+  return FromShards(std::move(built), opts.scheme, opts.partition_attr);
 }
 
 bool ShardedStore::Prune(size_t s, const CountingQuery& q,
                          RouteDecision* dec) const {
   AttrId attr = 0;
-  if (!prune_ || zone_maps_[s] == nullptr ||
-      zone_maps_[s]->MightMatch(q, &attr)) {
+  if (!prune_ || zone_maps_[s]->MightMatch(q, &attr)) {
     return false;
   }
   if (dec != nullptr) {
@@ -360,34 +320,16 @@ Result<std::vector<QueryEstimate>> ShardedStore::AnswerAll(
 Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
     const std::string& dir, Env* env, bool verify_checksums) {
   const std::string path = (fs::path(dir) / "MANIFEST").string();
-  bool had_footer = false;
-  ASSIGN_OR_RETURN(
-      std::string payload,
-      ReadChecksummedFile(env, path, verify_checksums, &had_footer));
+  ASSIGN_OR_RETURN(std::string payload,
+                   ReadChecksummedFile(env, path, verify_checksums));
   std::istringstream in(payload);
   std::string token;
-  if (!(in >> token)) {
-    return Status::Corruption("bad store manifest header in " + dir);
+  if (!(in >> token) || token != kManifestV4) {
+    return Status::Corruption("not a v4 store manifest in " + dir);
   }
-  bool v4 = false;
-  if (token == kManifestV4) {
-    std::string kind;
-    if (!(in >> kind) || kind != "sharded") {
-      return Status::InvalidArgument("not a sharded store manifest in " +
-                                     dir);
-    }
-    if (!had_footer) {
-      return Status::Corruption("missing checksum footer in " + path);
-    }
-    v4 = true;
-  } else if (token != kManifestV3) {
-    return Status::Corruption("not a sharded (v3/v4) store manifest in " +
-                              dir);
-  } else if (!had_footer) {
-    std::fprintf(stderr,
-                 "entropydb: warning: %s has no checksum footer "
-                 "(legacy format, loaded unverified)\n",
-                 path.c_str());
+  std::string kind;
+  if (!(in >> kind) || kind != "sharded") {
+    return Status::InvalidArgument("not a sharded store manifest in " + dir);
   }
   Manifest m;
   std::string scheme_token;
@@ -397,10 +339,8 @@ Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
   ASSIGN_OR_RETURN(PartitionSpec spec, ParsePartitionSpec(scheme_token));
   m.scheme = spec.scheme;
   m.partition_attr = spec.attr;
-  if (v4) {
-    if (!(in >> token >> m.wal_sealed) || token != "wal_sealed") {
-      return Status::Corruption("bad wal_sealed record in " + dir);
-    }
+  if (!(in >> token >> m.wal_sealed) || token != "wal_sealed") {
+    return Status::Corruption("bad wal_sealed record in " + dir);
   }
   size_t ns = 0;
   if (!(in >> token >> ns) || token != "shards" || ns == 0) {
@@ -412,22 +352,11 @@ Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
       return Status::Corruption("bad shard record in " + dir);
     }
   }
-  // Optional trailing sections, each absent in older manifests: zone
-  // maps (pre-pruning stores never prune), the compaction generation,
-  // and the per-shard row counts the compaction planner triggers on.
+  // Trailing sections: the compaction generation (only once a compaction
+  // has run) and the per-shard row counts the compaction planner triggers
+  // on (always).
   while (in >> token) {
-    if (token == "zonemaps") {
-      size_t nz = 0;
-      if (!m.zonemap_dirs.empty() || !(in >> nz) || nz > ns) {
-        return Status::Corruption("bad zonemaps record in " + dir);
-      }
-      m.zonemap_dirs.resize(nz);
-      for (size_t z = 0; z < nz; ++z) {
-        if (!(in >> token >> m.zonemap_dirs[z]) || token != "zonemap") {
-          return Status::Corruption("bad zonemap record in " + dir);
-        }
-      }
-    } else if (token == "gen") {
+    if (token == "gen") {
       if (!(in >> m.compaction_gen)) {
         return Status::Corruption("bad gen record in " + dir);
       }
@@ -447,6 +376,9 @@ Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
                                 "' in " + dir);
     }
   }
+  if (m.shard_rows.size() != ns) {
+    return Status::Corruption("missing shardrows record in " + dir);
+  }
   return m;
 }
 
@@ -456,6 +388,10 @@ Status ShardedStore::WriteManifest(const std::string& dir, const Manifest& m,
   // simply overwritten — Load never reads it), sync, then rename over the
   // live MANIFEST and sync the directory: the shard list and the
   // wal_sealed cursor flip together.
+  if (m.shard_rows.size() != m.shard_dirs.size()) {
+    return Status::InvalidArgument(
+        "manifest needs one row count per shard in " + dir);
+  }
   const std::string tmp = (fs::path(dir) / "MANIFEST.tmp").string();
   const std::string final_path = (fs::path(dir) / "MANIFEST").string();
   RETURN_NOT_OK(WriteChecksummedFile(env, tmp, ManifestPayload(m)));
@@ -479,10 +415,6 @@ Status ShardedStore::Save(const std::string& dir, Env* env) const {
       const std::string shard_dir =
           (fs::path(stage) / ("shard_" + std::to_string(i))).string();
       statuses[i] = shards_[i]->SaveContents(shard_dir, env);
-      if (statuses[i].ok() && zone_maps_[i] != nullptr) {
-        statuses[i] = zone_maps_[i]->Save(
-            env, (fs::path(shard_dir) / kZoneMapFileName).string());
-      }
     });
     for (const Status& st : statuses) {
       if (!st.ok()) return st;
@@ -493,9 +425,6 @@ Status ShardedStore::Save(const std::string& dir, Env* env) const {
     for (size_t i = 0; i < shards_.size(); ++i) {
       m.shard_dirs.push_back("shard_" + std::to_string(i));
       m.shard_rows.push_back(static_cast<uint64_t>(shards_[i]->n()));
-      if (zone_maps_[i] != nullptr) {
-        m.zonemap_dirs.push_back(m.shard_dirs.back());
-      }
     }
     RETURN_NOT_OK(WriteChecksummedFile(
         env, (fs::path(stage) / "MANIFEST").string(), ManifestPayload(m)));
@@ -513,11 +442,8 @@ bool ShardedStore::IsShardedDir(const std::string& dir, Env* env) {
     return false;
   }
   std::istringstream in(contents);
-  std::string token;
-  if (!(in >> token)) return false;
-  if (token == kManifestV3) return true;
-  std::string kind;
-  return token == kManifestV4 && (in >> kind) && kind == "sharded";
+  std::string token, kind;
+  return (in >> token >> kind) && token == kManifestV4 && kind == "sharded";
 }
 
 Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(
@@ -539,7 +465,6 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(
   // Shard loads are independent (each is a full store load, itself
   // parallel inside), so fan out across shards too.
   std::vector<std::shared_ptr<SourceStore>> shards(ns);
-  std::vector<std::shared_ptr<const ZoneMap>> zone_maps(ns);
   std::vector<Status> statuses(ns, Status::OK());
   ParallelFor(ns, 2, [&](size_t s) {
     auto loaded = SourceStore::Load((fs::path(dir) / m.shard_dirs[s]).string(),
@@ -553,37 +478,7 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }
-  // Zone maps the manifest lists: a corrupt one is a typed failure (a
-  // wrong zone map would prune wrongly — silently wrong answers), but a
-  // MISSING one merely degrades that shard to full fan-out, with a
-  // warning. Deleting a zone map is a legal manual repair.
-  for (const std::string& zdir : m.zonemap_dirs) {
-    size_t s = ns;
-    for (size_t i = 0; i < ns; ++i) {
-      if (m.shard_dirs[i] == zdir) {
-        s = i;
-        break;
-      }
-    }
-    if (s == ns) {
-      return Status::Corruption("manifest lists a zone map for unknown shard " +
-                                zdir + " in " + dir);
-    }
-    const std::string path =
-        (fs::path(dir) / zdir / kZoneMapFileName).string();
-    if (!env->FileExists(path)) {
-      std::fprintf(stderr,
-                   "entropydb: warning: zone map %s is missing; shard "
-                   "degrades to full fan-out\n",
-                   path.c_str());
-      continue;
-    }
-    ASSIGN_OR_RETURN(ZoneMap zm, ZoneMap::Load(env, path));
-    zone_maps[s] = std::make_shared<const ZoneMap>(std::move(zm));
-  }
-  auto store =
-      FromShards(std::move(shards), m.scheme, std::move(zone_maps),
-                 m.partition_attr);
+  auto store = FromShards(std::move(shards), m.scheme, m.partition_attr);
   if (!store.ok()) {
     return Status::Corruption("inconsistent sharded store in " + dir + ": " +
                               store.status().message());

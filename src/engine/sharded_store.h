@@ -62,14 +62,18 @@ struct ShardedOptions {
 /// is chosen PER SHARD: a rare slice can be served by shard 2's stratified
 /// sample and shard 3's summary in the same merged answer.
 ///
+/// Every shard carries a zone map (storage/zone_map.h) derived at
+/// construction from its summaries' exact 1-D statistics, so shards that
+/// provably cannot match a query are skipped; nothing about it is
+/// persisted.
+///
 /// Persistence is a MANIFEST v4 directory: the manifest records the
-/// scheme, the shard list, and the ingest journal's sealed-batch count
-/// (`wal_sealed`, see engine/ingest.h); each shard is a self-contained
-/// store subdirectory. Save stages the WHOLE tree into a `<dir>.tmp-*`
-/// sibling and publishes it in one rename, so a crash never exposes a
-/// mixed-shard store. v3 (PR 5-era) sharded directories keep loading;
-/// v2/v1 directories load as monolithic stores, which EntropyEngine::Open
-/// wraps as one-shard ShardedStores.
+/// scheme, the shard list, per-shard row counts, and the ingest journal's
+/// sealed-batch count (`wal_sealed`, see engine/ingest.h); each shard is a
+/// self-contained store subdirectory. Save stages the WHOLE tree into a
+/// `<dir>.tmp-*` sibling and publishes it in one rename, so a crash never
+/// exposes a mixed-shard store. A v4 mono directory is a monolithic store,
+/// which EntropyEngine::Open wraps as a one-shard ShardedStore.
 class ShardedStore {
  public:
   /// Partitions `table` and builds every shard's sources in parallel.
@@ -78,14 +82,10 @@ class ShardedStore {
 
   /// Assembles a sharded store from already-built per-shard stores (the
   /// path Load uses). Shards must be non-empty and agree on arity and
-  /// per-attribute domain sizes. `zone_maps` is empty (no pruning) or one
-  /// entry per shard — a null entry means that shard is never pruned; a
-  /// non-null one must agree with the shard's arity and domain sizes.
+  /// per-attribute domain sizes.
   static Result<std::shared_ptr<ShardedStore>> FromShards(
       std::vector<std::shared_ptr<SourceStore>> shards,
-      PartitionScheme scheme,
-      std::vector<std::shared_ptr<const ZoneMap>> zone_maps = {},
-      AttrId partition_attr = 0);
+      PartitionScheme scheme, AttrId partition_attr = 0);
 
   size_t num_shards() const { return shards_.size(); }
   const SourceStore& shard(size_t s) const { return *shards_[s]; }
@@ -100,9 +100,7 @@ class ShardedStore {
   /// Compaction generation the loaded manifest carried (0 for a store no
   /// compaction ever ran on, and for in-memory stores).
   uint64_t compaction_gen() const { return compaction_gen_; }
-  /// Shard s's zone map; null when the shard carries none (legacy store,
-  /// or a deleted zone-map file degraded at load) — such shards are never
-  /// pruned.
+  /// Shard s's zone map, derived from its summaries; never null.
   std::shared_ptr<const ZoneMap> zone_map(size_t s) const {
     return zone_maps_[s];
   }
@@ -184,25 +182,19 @@ class ShardedStore {
     /// Number of leading WAL records already sealed into shards; replay
     /// starts after them (0 for a store with no ingest history).
     uint64_t wal_sealed = 0;
-    /// Shard dirs (a subset of `shard_dirs`) that carry a ZONEMAP file.
-    /// v3 manifests and pre-pruning v4 manifests list none — such stores
-    /// load unchanged and skip pruning.
-    std::vector<std::string> zonemap_dirs;
     /// Monotone compaction generation: 0 for a store no compaction ever
     /// ran on; RunCompaction (engine/compaction.h) bumps it by one at
     /// each commit and names the shards it publishes after it
     /// ("shard_c<gen>_<j>").
     uint64_t compaction_gen = 0;
-    /// Per-shard row counts aligned with `shard_dirs`: either empty
-    /// (unknown — a pre-compaction-era manifest) or exactly one entry
-    /// per shard. The compaction planner's oversize trigger reads these
-    /// without loading any shard; Save, ingest sealing, and compaction
-    /// all maintain them.
+    /// Per-shard row counts, exactly one per entry of `shard_dirs`. The
+    /// compaction planner's oversize trigger reads these without loading
+    /// any shard; Save, ingest sealing, and compaction all maintain them.
     std::vector<uint64_t> shard_rows;
   };
 
-  /// Reads `dir/MANIFEST`. Accepts v4-sharded (checksummed — footer
-  /// required) and legacy v3 (loads with a stderr warning; wal_sealed 0).
+  /// Reads `dir/MANIFEST`: a checksummed v4 manifest of kind `sharded`
+  /// (a mono one is InvalidArgument, anything else kCorruption).
   static Result<Manifest> ReadManifest(const std::string& dir,
                                        Env* env = Env::Default(),
                                        bool verify_checksums = true);
@@ -210,7 +202,7 @@ class ShardedStore {
   /// `m`: written to a tmp name, synced, renamed into place, directory
   /// synced. This single flip is what makes an ingest seal atomic — the
   /// new shard list and the advanced wal_sealed cursor become visible
-  /// together or not at all.
+  /// together or not at all. `m` must carry one row count per shard.
   static Status WriteManifest(const std::string& dir, const Manifest& m,
                               Env* env = Env::Default());
 
@@ -219,8 +211,8 @@ class ShardedStore {
   /// parallel) is staged into a `<dir>.tmp-<nonce>` sibling and published
   /// in one rename.
   Status Save(const std::string& dir, Env* env = Env::Default()) const;
-  /// Restores a v4/v3 sharded directory (shards load in parallel; `opts`
-  /// is passed through to every summary load). Rejects v1/v2 manifests —
+  /// Restores a sharded directory (shards load in parallel; `opts` is
+  /// passed through to every summary load). Rejects mono manifests —
   /// those are monolithic stores, which SourceStore::Load owns. Stale
   /// staging directories next to `dir` are garbage-collected, and so is
   /// every `shard_*` entry inside `dir` the manifest does not reference:
@@ -233,16 +225,14 @@ class ShardedStore {
                                                     SummaryOptions opts = {},
                                                     Env* env = Env::Default());
 
-  /// True when `dir` holds a sharded (v3 or v4-sharded) manifest — the
-  /// dispatch test EntropyEngine::Open uses.
+  /// True when `dir` holds a v4-sharded manifest — the dispatch test
+  /// EntropyEngine::Open uses.
   static bool IsShardedDir(const std::string& dir,
                            Env* env = Env::Default());
 
  private:
   ShardedStore(std::vector<std::shared_ptr<SourceStore>> shards,
-               PartitionScheme scheme,
-               std::vector<std::shared_ptr<const ZoneMap>> zone_maps,
-               AttrId partition_attr);
+               PartitionScheme scheme, AttrId partition_attr);
 
   /// True when shard `s`'s zone map proves `q` cannot match it (the skip
   /// test every Answer* path runs); marks `*dec` (when non-null) pruned on
@@ -260,7 +250,7 @@ class ShardedStore {
 
   std::vector<std::shared_ptr<SourceStore>> shards_;
   std::vector<QueryRouter> routers_;
-  /// One slot per shard; null = never pruned.
+  /// One slot per shard, derived in the constructor.
   std::vector<std::shared_ptr<const ZoneMap>> zone_maps_;
   PartitionScheme scheme_ = PartitionScheme::kRoundRobin;
   AttrId partition_attr_ = 0;

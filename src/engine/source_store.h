@@ -95,15 +95,14 @@ struct SampleEntry {
 ///
 /// Sample companions carry a row-group index (sampling/sample_index.h,
 /// StoreOptions::sample_index) built in parallel at Build time; Save
-/// persists it in the .eds v2 files, Load restores it (or rebuilds it for
-/// PR 3-era v1 .eds files) inside the parallel load fan-out.
+/// persists it in the .eds files, Load restores it inside the parallel
+/// load fan-out.
 ///
 /// Save/Load persist the whole store as a directory (one MANIFEST plus one
 /// .edb file per summary and one .eds file per sample), restoring without
-/// re-solving or re-sampling; loads are parallel. MANIFEST v2 adds the
-/// samples section; v1 (summary-only, PR 2-era) directories load
-/// unchanged. All sources share the relation's attribute schema; queries
-/// are position-compatible across the store.
+/// re-solving or re-sampling; loads are parallel. All sources share the
+/// relation's attribute schema; queries are position-compatible across the
+/// store.
 class SourceStore {
  public:
   static Result<std::shared_ptr<SourceStore>> Build(const Table& table,
@@ -165,10 +164,10 @@ class SourceStore {
   /// everyone else wants Save.
   Status SaveContents(const std::string& dir, Env* env) const;
   /// Restores a saved store without re-solving (sources load in
-  /// parallel). Accepts MANIFEST v4 (checksummed era — footer required),
-  /// v2, and PR 2-era v1 (summary-only) directories; legacy manifests
-  /// load with a stderr warning. Garbage-collects stale staging
-  /// directories a crashed save left next to `dir`.
+  /// parallel). Accepts only a checksummed MANIFEST v4 of kind `mono`
+  /// (a sharded one is InvalidArgument, anything else kCorruption).
+  /// Garbage-collects stale staging directories a crashed save left next
+  /// to `dir`.
   static Result<std::shared_ptr<SourceStore>> Load(const std::string& dir,
                                                    SummaryOptions opts = {},
                                                    Env* env = Env::Default());

@@ -23,9 +23,9 @@ struct SummaryOptions {
   PolynomialOptions polynomial;
   /// Verify the CRC32C footer of every artifact read during a load
   /// (summaries, samples, manifests). On by default; bench_durability
-  /// turns it off to measure the checksum overhead on open. Artifacts
-  /// from pre-checksum format versions load either way (with a stderr
-  /// warning), but a PRESENT footer that mismatches is kCorruption.
+  /// turns it off to measure the checksum overhead on open. The footer
+  /// itself stays mandatory either way: a file without one is
+  /// kCorruption.
   bool verify_checksums = true;
 };
 
@@ -120,9 +120,9 @@ class EntropySummary {
   /// through `env` (Env::Default() in production; FaultInjectionEnv in
   /// the crash-safety suites).
   Status Save(const std::string& path, Env* env = Env::Default()) const;
-  /// Restores a saved summary. v2 files must carry a valid checksum
-  /// footer (kCorruption otherwise); v1 (pre-checksum) files load with a
-  /// warning. opts.verify_checksums = false skips the CRC verification.
+  /// Restores a saved summary. Only format v2 with a valid checksum
+  /// footer loads (kCorruption otherwise); opts.verify_checksums = false
+  /// skips the CRC verification.
   static Result<std::shared_ptr<EntropySummary>> Load(
       const std::string& path, SummaryOptions opts = {},
       Env* env = Env::Default());

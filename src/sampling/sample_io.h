@@ -16,27 +16,21 @@ namespace entropydb {
 /// already are everywhere in this codebase); Save rejects offenders with
 /// InvalidArgument rather than writing a file Load cannot reopen.
 ///
-/// Format v2 appends the sample's row-group index (sample_index.h) after
+/// Format v3 appends the sample's row-group index (sample_index.h) after
 /// the row block — per attribute, the prefix-sum group offsets and the row
 /// permutation — so loads skip the rebuild. A sample without an index
-/// writes an empty index section (index 0) and loads without one.
-///
-/// Format v3 (the checksummed era) is v2 plus a mandatory CRC32C footer
-/// over the payload; writes go through `env` and are synced to stable
-/// storage before SaveSample returns.
+/// writes an empty index section (index 0) and loads without one. The
+/// payload ends in a CRC32C footer; writes go through `env` and are
+/// synced to stable storage before SaveSample returns.
 Status SaveSample(const WeightedSample& sample, const std::string& path,
                   Env* env = Env::Default());
 
 /// Restores a sample written by SaveSample. The rebuilt table carries the
 /// original domains, so query codes are position-compatible with summaries
-/// of the same relation. A v3 file must carry a valid checksum footer
+/// of the same relation. Only format v3 with a valid checksum footer loads
 /// (kCorruption otherwise; `verify_checksums` = false skips the CRC math
-/// but still requires the footer's presence). v2 files restore their
-/// persisted index (validated against the rows; Corruption on mismatch);
-/// v1 (PR 3-era, index-less) files load unchanged and REBUILD the index on
-/// open — mirroring the store MANIFEST's compat rule — so old companions
-/// speed up without a rewrite. v1/v2 files carry no footer and load with a
-/// stderr warning.
+/// but still requires the footer's presence). The persisted index is
+/// validated against the rows (Corruption on mismatch).
 Result<WeightedSample> LoadSample(const std::string& path,
                                   Env* env = Env::Default(),
                                   bool verify_checksums = true);

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -159,12 +160,15 @@ QueryServer::~QueryServer() { Stop(); }
 
 void QueryServer::Stop() {
   if (stopping_.exchange(true)) return;
+  // shutdown() wakes the blocked accept(); the descriptor is closed only
+  // once the accept thread is gone, so that thread never reads a closed
+  // (or reused) fd.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
@@ -248,6 +252,13 @@ void QueryServer::SessionLoop(int fd) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // client closed, or Stop() shut the socket down
     decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+  }
+  // Leave session_fds_ before the number is released: Stop() must never
+  // shut down a descriptor the process has since reused.
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    session_fds_.erase(
+        std::find(session_fds_.begin(), session_fds_.end(), fd));
   }
   ::close(fd);
 }

@@ -145,6 +145,7 @@ class QueryServer {
 
   std::mutex sessions_mu_;
   std::vector<std::thread> session_threads_;
+  /// Open session sockets; each session erases its own before closing it.
   std::vector<int> session_fds_;
 
   mutable std::mutex stats_mu_;

@@ -193,30 +193,20 @@ Status VersionSet::LoadLocked() {
   const std::string cur_path = root_ + "/" + kCurrentFileName;
   uint64_t current = 0;
   if (env_->FileExists(cur_path)) {
-    bool had_footer = false;
     ASSIGN_OR_RETURN(
         std::string payload,
-        ReadChecksummedFile(env_, cur_path, options_.verify_checksums,
-                            &had_footer));
-    if (!had_footer) {
-      // CURRENT never existed before the checksummed era, so a missing
-      // footer is damage, not legacy.
-      return Status::Corruption("CURRENT missing checksum in " + root_);
-    }
+        ReadChecksummedFile(env_, cur_path, options_.verify_checksums));
     std::istringstream in(payload);
-    std::string magic, token;
+    std::string magic, token, retain_token;
     uint64_t id = 0;
+    size_t retain = 0;
     if (!(in >> magic) || magic != kCurrentMagic || !(in >> token >> id) ||
-        token != "current" || id == 0) {
+        token != "current" || id == 0 || !(in >> retain_token >> retain) ||
+        retain_token != "retain" || retain == 0) {
       return Status::Corruption("malformed CURRENT in " + root_);
     }
     current = id;
-    // Optional persisted retention window (absent in a hand-rolled or
-    // pre-knob CURRENT: keep the default).
-    size_t retain = 0;
-    if ((in >> token >> retain) && token == "retain" && retain > 0) {
-      retain_ = retain;
-    }
+    retain_ = retain;
   }
   // An explicit Options override beats the persisted value; the next
   // publish writes it back.

@@ -1,13 +1,10 @@
 #include "storage/zone_map.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace entropydb {
 
 namespace {
-
-constexpr char kZoneMapV1[] = "ENTROPYDB_ZONEMAP_V1";
 
 size_t WordsFor(uint32_t domain_size) { return (domain_size + 63) / 64; }
 
@@ -17,18 +14,17 @@ bool BitSet(const std::vector<uint64_t>& bits, Code c) {
 
 }  // namespace
 
-ZoneMap ZoneMap::Build(const Table& table) {
+ZoneMap ZoneMap::FromCounts(const std::vector<std::vector<double>>& counts) {
   ZoneMap zm;
-  zm.attrs_.resize(table.num_attributes());
-  for (AttrId a = 0; a < table.num_attributes(); ++a) {
+  zm.attrs_.resize(counts.size());
+  for (AttrId a = 0; a < counts.size(); ++a) {
     AttrPresence& p = zm.attrs_[a];
-    p.domain_size = table.domain(a).size();
-    // Collect presence densely first (one scan, O(1) per row), then pick
-    // the persisted encoding from the observed density.
+    p.domain_size = static_cast<uint32_t>(counts[a].size());
+    // Collect presence densely first, then pick the encoding from the
+    // observed density.
     std::vector<uint64_t> bits(WordsFor(p.domain_size), 0);
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      const Code c = table.at(r, a);
-      if (c < p.domain_size) bits[c >> 6] |= uint64_t{1} << (c & 63);
+    for (Code c = 0; c < p.domain_size; ++c) {
+      if (counts[a][c] > 0.0) bits[c >> 6] |= uint64_t{1} << (c & 63);
     }
     size_t distinct = 0;
     for (uint64_t w : bits) distinct += __builtin_popcountll(w);
@@ -45,6 +41,18 @@ ZoneMap ZoneMap::Build(const Table& table) {
     }
   }
   return zm;
+}
+
+ZoneMap ZoneMap::Build(const Table& table) {
+  std::vector<std::vector<double>> counts(table.num_attributes());
+  for (AttrId a = 0; a < table.num_attributes(); ++a) {
+    counts[a].assign(table.domain(a).size(), 0.0);
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      const Code c = table.at(r, a);
+      if (c < counts[a].size()) counts[a][c] += 1.0;
+    }
+  }
+  return FromCounts(counts);
 }
 
 bool ZoneMap::Contains(AttrId a, Code c) const {
@@ -106,106 +114,6 @@ bool ZoneMap::MightMatch(const CountingQuery& q, AttrId* pruned_attr) const {
     }
   }
   return true;
-}
-
-Status ZoneMap::Save(Env* env, const std::string& path) const {
-  std::ostringstream out;
-  out << kZoneMapV1 << "\n";
-  out << "attrs " << attrs_.size() << "\n";
-  for (AttrId a = 0; a < attrs_.size(); ++a) {
-    const AttrPresence& p = attrs_[a];
-    out << "attr " << a << " " << p.domain_size;
-    if (p.encoding == Encoding::kDense) {
-      out << " dense " << p.bits.size() << std::hex;
-      for (uint64_t w : p.bits) out << " " << w;
-      out << std::dec;
-    } else {
-      out << " sparse " << p.codes.size();
-      for (Code c : p.codes) out << " " << c;
-    }
-    out << "\n";
-  }
-  return WriteChecksummedFile(env, path, out.str());
-}
-
-Result<ZoneMap> ZoneMap::Load(Env* env, const std::string& path) {
-  bool had_footer = false;
-  ASSIGN_OR_RETURN(std::string payload,
-                   ReadChecksummedFile(env, path, /*verify=*/true,
-                                       &had_footer));
-  // Zone maps postdate the checksum era: a footerless file is a truncated
-  // or foreign artifact, and a wrong zone map means silently wrong
-  // (wrongly pruned) answers — reject, never degrade.
-  if (!had_footer) {
-    return Status::Corruption("missing checksum footer in " + path);
-  }
-  std::istringstream in(payload);
-  std::string token;
-  if (!(in >> token) || token != kZoneMapV1) {
-    return Status::Corruption("bad zone map header in " + path);
-  }
-  size_t m = 0;
-  if (!(in >> token >> m) || token != "attrs") {
-    return Status::Corruption("bad attrs record in " + path);
-  }
-  ZoneMap zm;
-  zm.attrs_.resize(m);
-  for (AttrId a = 0; a < m; ++a) {
-    AttrPresence& p = zm.attrs_[a];
-    AttrId id = 0;
-    std::string enc;
-    size_t count = 0;
-    if (!(in >> token >> id >> p.domain_size >> enc >> count) ||
-        token != "attr" || id != a) {
-      return Status::Corruption("bad attr record in " + path);
-    }
-    if (enc == "dense") {
-      p.encoding = Encoding::kDense;
-      if (count != WordsFor(p.domain_size)) {
-        return Status::Corruption("bad bitmap width in " + path);
-      }
-      p.bits.resize(count);
-      in >> std::hex;
-      for (size_t w = 0; w < count; ++w) {
-        if (!(in >> p.bits[w])) {
-          return Status::Corruption("truncated bitmap in " + path);
-        }
-      }
-      in >> std::dec;
-      // Bits past the domain must be clear or Contains/range scans would
-      // be fed garbage by a corrupt (but checksum-era-predating) file.
-      const uint32_t tail = p.domain_size & 63;
-      if (count > 0 && tail != 0 &&
-          (p.bits.back() & (~uint64_t{0} << tail)) != 0) {
-        return Status::Corruption("bitmap bits past the domain in " + path);
-      }
-      size_t distinct = 0;
-      for (uint64_t w : p.bits) distinct += __builtin_popcountll(w);
-      p.distinct = distinct;
-    } else if (enc == "sparse") {
-      p.encoding = Encoding::kSparse;
-      if (count > p.domain_size) {
-        return Status::Corruption("sparse list wider than the domain in " +
-                                  path);
-      }
-      p.codes.resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        if (!(in >> p.codes[i])) {
-          return Status::Corruption("truncated sparse list in " + path);
-        }
-        if (p.codes[i] >= p.domain_size ||
-            (i > 0 && p.codes[i] <= p.codes[i - 1])) {
-          return Status::Corruption("unsorted or out-of-domain code in " +
-                                    path);
-        }
-      }
-      p.distinct = count;
-    } else {
-      return Status::Corruption("unknown zone map encoding '" + enc +
-                                "' in " + path);
-    }
-  }
-  return zm;
 }
 
 }  // namespace entropydb

@@ -2,27 +2,22 @@
 #define ENTROPYDB_STORAGE_ZONE_MAP_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "common/env.h"
-#include "common/result.h"
 #include "query/counting_query.h"
 #include "storage/table.h"
 
 namespace entropydb {
-
-/// File name of the persisted zone map inside a shard directory.
-inline constexpr char kZoneMapFileName[] = "ZONEMAP";
 
 /// \brief Per-shard, per-attribute domain-presence metadata — the succinct
 /// structure ShardedStore consults BEFORE fanning a query out, so shards
 /// that provably cannot match a constrained value are skipped entirely.
 ///
 /// For every attribute the map records exactly which domain codes occur in
-/// the shard's rows, in one of two encodings chosen by density at build
-/// time:
+/// the shard's rows. ShardedStore derives it from the shard's summaries
+/// (FromCounts over the exact 1-D statistics every summary keeps), so it
+/// is never persisted. Presence is held in one of two encodings chosen by
+/// density:
 ///  - dense bitmap: one bit per domain code, when the shard touches at
 ///    least 1/32 of the domain (a sparse list would cost more: 32 bits per
 ///    present code vs. 1 bit per domain slot);
@@ -49,7 +44,14 @@ class ZoneMap {
   /// a bitmap slot costs 1.
   static constexpr uint32_t kSparseCutoverDivisor = 32;
 
-  /// Scans `table` once and records per-attribute code presence.
+  /// Presence from per-attribute, per-code counts (a summary's 1-D
+  /// statistics): code c of attribute a is present iff counts[a][c] > 0,
+  /// and attribute a's domain has counts[a].size() codes.
+  static ZoneMap FromCounts(const std::vector<std::vector<double>>& counts);
+
+  /// Scans `table` once and records per-attribute code presence — the map
+  /// FromCounts derives from the 1-D statistics of any summary of `table`,
+  /// and the reference tests hold the derived maps to.
   static ZoneMap Build(const Table& table);
 
   size_t num_attributes() const { return attrs_.size(); }
@@ -70,13 +72,6 @@ class ZoneMap {
   /// miss. Queries of a different arity never prune (defensive: the
   /// answer path would reject them anyway).
   bool MightMatch(const CountingQuery& q, AttrId* pruned_attr = nullptr) const;
-
-  /// Persists as a checksummed text artifact (CRC32C footer, like every
-  /// other EntropyDB artifact). The format is v4-era: readers REQUIRE the
-  /// footer — a truncated or footerless file is kCorruption, never a
-  /// silently wrong prune.
-  Status Save(Env* env, const std::string& path) const;
-  static Result<ZoneMap> Load(Env* env, const std::string& path);
 
  private:
   struct AttrPresence {

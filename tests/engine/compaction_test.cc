@@ -28,6 +28,7 @@
 #include "engine/sharded_store.h"
 #include "storage/partitioner.h"
 #include "storage/wal.h"
+#include "storage/zone_map.h"
 
 namespace entropydb {
 namespace {
@@ -125,6 +126,48 @@ void ExpectEstimatesMatch(const std::vector<QueryEstimate>& pre,
     EXPECT_NEAR(pre[i].expectation, post[i].expectation,
                 kMergeBar * std::max(1.0, std::fabs(pre[i].expectation)))
         << "estimate " << i;
+  }
+}
+
+/// Every row the sealed journal of `dir` backs, re-parsed in seal order
+/// against `shard0`'s domains — the exact rows compaction re-partitions.
+std::shared_ptr<Table> JournalRows(const std::string& dir,
+                                   const SourceStore& shard0) {
+  auto m = ShardedStore::ReadManifest(dir);
+  EXPECT_TRUE(m.ok()) << m.status().ToString();
+  auto wal = ReadWal(Env::Default(), (fs::path(dir) / kIngestWalName).string());
+  EXPECT_TRUE(wal.ok()) << wal.status().ToString();
+  TableBuilder builder(Schema{{AttributeSpec{"A0", AttributeType::kInteger, 4},
+                               AttributeSpec{"A1", AttributeType::kInteger,
+                                             3}}});
+  builder.SetDomain(0, shard0.domains()[0]);
+  builder.SetDomain(1, shard0.domains()[1]);
+  for (uint64_t i = 0; m.ok() && wal.ok() && i < m->wal_sealed; ++i) {
+    auto batch = ParseIngestBatch(shard0, wal->records[i], i);
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    if (!batch.ok()) break;
+    for (size_t r = 0; r < (*batch)->num_rows(); ++r) {
+      builder.AppendEncodedRow({(*batch)->at(r, 0), (*batch)->at(r, 1)});
+    }
+  }
+  auto rows = builder.Finish();
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  return rows.ok() ? *rows : nullptr;
+}
+
+/// Same presence, attribute by attribute and code by code, in the same
+/// encoding.
+void ExpectSameZoneMap(const ZoneMap& got, const ZoneMap& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.num_attributes(), want.num_attributes()) << what;
+  for (AttrId a = 0; a < want.num_attributes(); ++a) {
+    ASSERT_EQ(got.domain_size(a), want.domain_size(a)) << what;
+    EXPECT_EQ(got.encoding(a), want.encoding(a)) << what << " attr " << a;
+    EXPECT_EQ(got.distinct(a), want.distinct(a)) << what << " attr " << a;
+    for (Code c = 0; c < want.domain_size(a); ++c) {
+      EXPECT_EQ(got.Contains(a, c), want.Contains(a, c))
+          << what << " attr " << a << " code " << c;
+    }
   }
 }
 
@@ -315,33 +358,16 @@ TEST_P(CompactionTest, CompactedStoreMatchesDeterministicRebuild) {
   // sample_seed += (gen << 32) + (j << 20). Estimates AND variances of
   // the merged answers must agree — variance has no partition-invariance
   // argument, so THIS is the check that pins it.
-  auto m = ShardedStore::ReadManifest(dir_);
-  ASSERT_TRUE(m.ok());
   auto shard0 = SourceStore::Load((fs::path(dir_) / "shard_0").string());
   ASSERT_TRUE(shard0.ok());
-  auto wal =
-      ReadWal(Env::Default(), (fs::path(dir_) / kIngestWalName).string());
-  ASSERT_TRUE(wal.ok());
-  TableBuilder builder(Schema{{AttributeSpec{"A0", AttributeType::kInteger, 4},
-                               AttributeSpec{"A1", AttributeType::kInteger,
-                                             3}}});
-  builder.SetDomain(0, (*shard0)->domains()[0]);
-  builder.SetDomain(1, (*shard0)->domains()[1]);
-  for (uint64_t i = 0; i < m->wal_sealed; ++i) {
-    auto batch = ParseIngestBatch(**shard0, wal->records[i], i);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    for (size_t r = 0; r < (*batch)->num_rows(); ++r) {
-      builder.AppendEncodedRow({(*batch)->at(r, 0), (*batch)->at(r, 1)});
-    }
-  }
-  auto rows = builder.Finish();
-  ASSERT_TRUE(rows.ok());
+  std::shared_ptr<Table> rows = JournalRows(dir_, **shard0);
+  ASSERT_NE(rows, nullptr);
 
   PartitionOptions popts;
   popts.num_shards = report->new_shards.size();
   popts.scheme = GetParam().scheme;
   popts.partition_attr = GetParam().partition_attr;
-  auto parts = TablePartitioner::Partition(**rows, popts);
+  auto parts = TablePartitioner::Partition(*rows, popts);
   ASSERT_TRUE(parts.ok()) << parts.status().ToString();
 
   std::vector<std::shared_ptr<SourceStore>> expected;
@@ -360,7 +386,7 @@ TEST_P(CompactionTest, CompactedStoreMatchesDeterministicRebuild) {
     expected.push_back(*built);
   }
   auto expected_store = ShardedStore::FromShards(
-      std::move(expected), GetParam().scheme, {}, GetParam().partition_attr);
+      std::move(expected), GetParam().scheme, GetParam().partition_attr);
   ASSERT_TRUE(expected_store.ok()) << expected_store.status().ToString();
 
   for (const CountingQuery& q : Battery()) {
@@ -386,8 +412,8 @@ TEST_P(CompactionTest, ZoneMapPruningStaysExactOnCompactedShards) {
 
   auto loaded = ShardedStore::Load(dir_);
   ASSERT_TRUE(loaded.ok());
-  // Every shard of the compacted store carries a zone map (base shards
-  // keep theirs, compaction writes fresh ones).
+  // Every shard of the compacted store carries a zone map, derived from
+  // its summaries at load.
   for (size_t s = 0; s < (*loaded)->num_shards(); ++s) {
     EXPECT_NE((*loaded)->zone_map(s), nullptr) << "shard " << s;
   }
@@ -401,6 +427,58 @@ TEST_P(CompactionTest, ZoneMapPruningStaysExactOnCompactedShards) {
     ASSERT_TRUE(pruned.ok() && full.ok());
     EXPECT_EQ(pruned->expectation, full->expectation);
     EXPECT_EQ(pruned->variance, full->variance);
+  }
+}
+
+TEST_P(CompactionTest, DerivedZoneMapsEqualShardTableScans) {
+  // A zone map derived from a shard's summaries must record exactly the
+  // codes a scan of that shard's rows finds, for every way a shard is
+  // made: the bulk build, an ingest seal, and a compaction rebuild.
+  PartitionOptions popts;
+  popts.scheme = GetParam().scheme;
+  popts.partition_attr = GetParam().partition_attr;
+  popts.num_shards = 2;
+  auto base = TablePartitioner::Partition(*BaseTable(600, 11), popts);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+  Append(90, 81);
+  Append(70, 82);
+  auto shard0 = SourceStore::Load((fs::path(dir_) / "shard_0").string());
+  ASSERT_TRUE(shard0.ok());
+  auto wal =
+      ReadWal(Env::Default(), (fs::path(dir_) / kIngestWalName).string());
+  ASSERT_TRUE(wal.ok());
+  std::vector<std::shared_ptr<Table>> tables = *base;
+  for (uint64_t i = 0; i < wal->records.size(); ++i) {
+    auto batch = ParseIngestBatch(**shard0, wal->records[i], i);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    tables.push_back(*batch);
+  }
+  auto appended = ShardedStore::Load(dir_);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  ASSERT_EQ((*appended)->num_shards(), tables.size());
+  for (size_t s = 0; s < tables.size(); ++s) {
+    ExpectSameZoneMap(*(*appended)->zone_map(s), ZoneMap::Build(*tables[s]),
+                      "appended shard " + std::to_string(s));
+  }
+
+  CompactionOptions copts;
+  copts.store = ExactStoreOptions();
+  copts.max_batch_shards = 1;
+  copts.split_threshold = 100;
+  auto report = RunCompaction(dir_, copts);
+  ASSERT_TRUE(report.ok() && report->ran);
+  popts.num_shards = report->new_shards.size();
+  auto parts = TablePartitioner::Partition(*JournalRows(dir_, **shard0), popts);
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  tables.resize(base->size());
+  tables.insert(tables.end(), parts->begin(), parts->end());
+  auto compacted = ShardedStore::Load(dir_);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  ASSERT_EQ((*compacted)->num_shards(), tables.size());
+  for (size_t s = 0; s < tables.size(); ++s) {
+    ExpectSameZoneMap(*(*compacted)->zone_map(s), ZoneMap::Build(*tables[s]),
+                      "compacted shard " + std::to_string(s));
   }
 }
 

@@ -1,13 +1,12 @@
 // Corruption fuzzing: every persisted artifact of a saved mono and a
 // saved sharded store is bit-flipped, truncated, and deleted, and
 // EntropyEngine::Open must fail with a typed error (kCorruption or
-// kIOError) — never crash, never return a half-valid store. Plus
-// backward compatibility: v4-era directories rewritten to the legacy
-// (pre-checksum) formats keep loading, unverified but warned.
+// kIOError) — never crash, never return a half-valid store. Each artifact
+// has exactly one accepted format version: an older header under a valid
+// footer is kCorruption too.
 
 #include <algorithm>
 #include <filesystem>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include "engine/engine.h"
 #include "engine/ingest.h"
 #include "engine/sharded_store.h"
-#include "storage/zone_map.h"
 
 namespace entropydb {
 namespace {
@@ -181,16 +179,11 @@ class CorruptionTest : public ::testing::Test {
           ExpectOpenFailsCleanly(dir, rel + " trunc@" + std::to_string(keep));
         }
       }
-      // Deletion. A missing zone map is the ONE tolerated mutation: the
-      // map is skip-ahead metadata, so losing the file degrades that
-      // shard to full fan-out (with a warning) instead of failing the
-      // open — deleting it is a legal manual repair. A PRESENT-but-wrong
-      // zone map (the flips and truncations above) must still fail typed:
-      // it could prune wrongly, which is a silently wrong answer.
+      // Deletion.
       {
         const std::string dir = Clone(pristine);
         fs::remove(fs::path(dir) / rel);
-        if (is_wal || fs::path(rel).filename() == kZoneMapFileName) {
+        if (is_wal) {
           auto opened = EntropyEngine::Open(dir);
           EXPECT_TRUE(opened.ok())
               << rel << " deleted: tolerated-damage open failed: "
@@ -235,36 +228,6 @@ TEST_F(CorruptionTest, CompactedStoreSurvivesMutationFuzz) {
   FuzzEveryFile(CompactedDir());
 }
 
-TEST_F(CorruptionTest, DeletedZoneMapDegradesToFullFanOutWithWarning) {
-  auto fresh = EntropyEngine::Open(ShardedDir());
-  ASSERT_TRUE(fresh.ok());
-
-  const std::string dir = Clone(ShardedDir());
-  fs::remove(fs::path(dir) / "shard_0" / kZoneMapFileName);
-
-  ::testing::internal::CaptureStderr();
-  auto degraded = EntropyEngine::Open(dir);
-  const std::string warnings = ::testing::internal::GetCapturedStderr();
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_NE(warnings.find("zone map"), std::string::npos) << warnings;
-  EXPECT_NE(warnings.find("full fan-out"), std::string::npos) << warnings;
-
-  // Shard 0 lost its map (never pruned); shard 1 kept its own.
-  EXPECT_EQ((*degraded)->sharded()->zone_map(0), nullptr);
-  EXPECT_NE((*degraded)->sharded()->zone_map(1), nullptr);
-
-  // Degraded answers are the pristine answers — pruning never changes an
-  // estimate, so losing the ability to prune cannot either.
-  CountingQuery q(5);
-  q.Where(0, AttrPredicate::Point(2)).Where(4, AttrPredicate::Point(1));
-  auto a = (*fresh)->Answer(q);
-  auto b = (*degraded)->Answer(q);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->expectation, b->expectation);
-  EXPECT_EQ(a->variance, b->variance);
-}
-
 TEST_F(CorruptionTest, VerificationCanBeDisabled) {
   // Flip one payload byte of the MANIFEST (well before the footer). With
   // verification on that is a checksum mismatch; with verify_checksums
@@ -297,109 +260,45 @@ TEST_F(CorruptionTest, VerificationCanBeDisabled) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Backward compatibility: strip the artifacts back to the legacy formats.
-
-/// Drops the 16-byte `crc32c <hex>\n` footer if present.
-std::string StripFooter(std::string raw) {
-  if (raw.size() >= 16 && raw.compare(raw.size() - 16, 7, "crc32c ") == 0) {
-    raw.resize(raw.size() - 16);
-  }
-  return raw;
-}
-
-/// Replaces the first line of `raw` with `header`.
-std::string ReplaceHeader(const std::string& raw, const std::string& header) {
-  const size_t eol = raw.find('\n');
-  return header + "\n" + (eol == std::string::npos ? "" : raw.substr(eol + 1));
-}
-
-void RewriteFile(const std::string& path,
-                 const std::string& legacy_header) {
-  std::string raw;
-  ASSERT_TRUE(Env::Default()->ReadFile(path, &raw).ok());
-  ASSERT_TRUE(Env::Default()
-                  ->WriteFile(path, ReplaceHeader(StripFooter(raw),
-                                                  legacy_header))
+/// Replaces the first line of `path`'s payload with `header` and rewrites
+/// the file under a fresh, valid checksum footer.
+void RewriteHeader(const std::string& path, const std::string& header) {
+  auto payload = ReadChecksummedFile(Env::Default(), path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const size_t eol = payload->find('\n');
+  ASSERT_NE(eol, std::string::npos) << path;
+  ASSERT_TRUE(WriteChecksummedFile(Env::Default(), path,
+                                   header + payload->substr(eol))
                   .ok());
 }
 
-/// Rewrites a saved v4 mono store in place to the legacy (pre-checksum)
-/// on-disk formats: v2 manifest, v1 summaries, v2 samples.
-void DowngradeMonoDir(const std::string& dir) {
-  for (const auto& e : fs::directory_iterator(dir)) {
-    const std::string path = e.path().string();
-    const std::string name = e.path().filename().string();
-    if (name == "MANIFEST") {
-      RewriteFile(path, "ENTROPYDB_STORE_V2");
-    } else if (name.size() > 4 &&
-               name.compare(name.size() - 4, 4, ".edb") == 0) {
-      RewriteFile(path, "ENTROPYDB_SUMMARY_V1");
-    } else if (name.size() > 4 &&
-               name.compare(name.size() - 4, 4, ".eds") == 0) {
-      RewriteFile(path, "ENTROPYDB_SAMPLE_V2");
-    }
+TEST_F(CorruptionTest, OlderFormatHeadersAreRejected) {
+  // Each artifact accepts exactly one format version. Older headers under
+  // a VALID footer must still fail the open: checksums prove the bytes
+  // are intact, the header proves they are in the one current format.
+  struct Case {
+    std::string pristine;
+    std::string file;  // relative to the store directory
+    std::string header;
+  };
+  const std::vector<Case> cases = {
+      {MonoDir(), "MANIFEST", "ENTROPYDB_STORE_V1"},
+      {MonoDir(), "MANIFEST", "ENTROPYDB_STORE_V2"},
+      {ShardedDir(), "MANIFEST", "ENTROPYDB_STORE_V3"},
+      {MonoDir(), "summary_0.edb", "ENTROPYDB_SUMMARY_V1"},
+      {MonoDir(), "sample_0.eds", "ENTROPYDB_SAMPLE_V1"},
+      {MonoDir(), "sample_0.eds", "ENTROPYDB_SAMPLE_V2"},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(EntropyEngine::Open(c.pristine).ok()) << c.pristine;
+    const std::string dir = Clone(c.pristine);
+    RewriteHeader(dir + "/" + c.file, c.header);
+    auto opened = EntropyEngine::Open(dir);
+    ASSERT_FALSE(opened.ok()) << c.file << " as " << c.header << " opened";
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << c.file << " as " << c.header << ": "
+        << opened.status().ToString();
   }
-}
-
-TEST_F(CorruptionTest, LegacyMonoDirectoryStillLoads) {
-  auto fresh = EntropyEngine::Open(MonoDir());
-  ASSERT_TRUE(fresh.ok());
-
-  const std::string dir = Clone(MonoDir());
-  DowngradeMonoDir(dir);
-  auto legacy = EntropyEngine::Open(dir);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-
-  // Same store: identical answer on a selective conjunctive query.
-  CountingQuery q(5);
-  q.Where(0, AttrPredicate::Point(1)).Where(1, AttrPredicate::Point(1));
-  auto a = (*fresh)->Answer(q);
-  auto b = (*legacy)->Answer(q);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a->expectation, b->expectation, 1e-9 * (1.0 + a->expectation));
-}
-
-TEST_F(CorruptionTest, LegacyShardedDirectoryStillLoads) {
-  auto fresh = EntropyEngine::Open(ShardedDir());
-  ASSERT_TRUE(fresh.ok());
-
-  const std::string dir = Clone(ShardedDir());
-  // v3 sharded manifest: no kind token, no wal_sealed line, no footer.
-  std::string raw;
-  ASSERT_TRUE(Env::Default()->ReadFile(dir + "/MANIFEST", &raw).ok());
-  raw = StripFooter(raw);
-  std::string v3;
-  std::istringstream in(raw);
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (first) {
-      v3 += "ENTROPYDB_STORE_V3\n";
-      first = false;
-    } else if (line.compare(0, 11, "wal_sealed ") == 0) {
-      continue;
-    } else {
-      v3 += line + "\n";
-    }
-  }
-  ASSERT_TRUE(Env::Default()->WriteFile(dir + "/MANIFEST", v3).ok());
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.is_directory()) DowngradeMonoDir(e.path().string());
-  }
-
-  auto legacy = EntropyEngine::Open(dir);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ((*legacy)->num_shards(), 2u);
-
-  CountingQuery q(5);
-  q.Where(2, AttrPredicate::Point(1)).Where(3, AttrPredicate::Point(1));
-  auto a = (*fresh)->Answer(q);
-  auto b = (*legacy)->Answer(q);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a->expectation, b->expectation, 1e-9 * (1.0 + a->expectation));
 }
 
 }  // namespace

@@ -211,19 +211,28 @@ TEST(HybridRouterTest, AnswerAllMatchesSerialWithSamples) {
     q.Where(0, AttrPredicate::Point(v)).Where(1, AttrPredicate::Range(0, v));
     workload.push_back(q);
   }
-  std::vector<RouteDecision> decisions;
-  auto batch = f.router.AnswerAll(workload, &decisions);
+  // The batched fan-out lives in ShardedStore; over one shard it must
+  // route every query to the same source as the serial path, bitwise.
+  auto one_shard =
+      ShardedStore::FromShards({f.store}, PartitionScheme::kRoundRobin);
+  ASSERT_TRUE(one_shard.ok()) << one_shard.status().ToString();
+  std::vector<std::vector<RouteDecision>> decisions;
+  auto batch = (*one_shard)->AnswerAll(workload, &decisions);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), workload.size());
+  size_t to_sample = 0;
   for (size_t i = 0; i < workload.size(); ++i) {
-    RouteDecision dec;
-    auto serial = f.router.Answer(workload[i], &dec);
+    std::vector<RouteDecision> dec;
+    auto serial = (*one_shard)->Answer(workload[i], &dec);
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ((*batch)[i].expectation, serial->expectation);
     EXPECT_EQ((*batch)[i].variance, serial->variance);
-    EXPECT_EQ(decisions[i].from_sample, dec.from_sample);
-    EXPECT_EQ(decisions[i].index, dec.index);
+    EXPECT_EQ(decisions[i][0].from_sample, dec[0].from_sample);
+    EXPECT_EQ(decisions[i][0].index, dec[0].index);
+    to_sample += dec[0].from_sample ? 1 : 0;
   }
+  // The rare cells must still reach the sample through the batched path.
+  EXPECT_GT(to_sample, 0u);
 }
 
 }  // namespace

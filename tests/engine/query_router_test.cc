@@ -9,6 +9,7 @@
 
 #include "../test_util.h"
 #include "engine/query_router.h"
+#include "engine/sharded_store.h"
 #include "engine/source_store.h"
 
 namespace entropydb {
@@ -165,19 +166,24 @@ TEST(QueryRouterTest, AnswerAllMatchesSerialAnswers) {
     r.Where(3, AttrPredicate::Point(v % 5));
     workload.push_back(r);
   }
-  std::vector<RouteDecision> decisions;
-  auto batch = f.router.AnswerAll(workload, &decisions);
+  // The batched fan-out lives in ShardedStore; over one shard it must
+  // answer and route every query exactly like the serial path.
+  auto one_shard =
+      ShardedStore::FromShards({f.store}, PartitionScheme::kRoundRobin);
+  ASSERT_TRUE(one_shard.ok()) << one_shard.status().ToString();
+  std::vector<std::vector<RouteDecision>> decisions;
+  auto batch = (*one_shard)->AnswerAll(workload, &decisions);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), workload.size());
   ASSERT_EQ(decisions.size(), workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
-    RouteDecision dec;
-    auto serial = f.router.Answer(workload[i], &dec);
+    std::vector<RouteDecision> dec;
+    auto serial = (*one_shard)->Answer(workload[i], &dec);
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ((*batch)[i].expectation, serial->expectation);
     EXPECT_EQ((*batch)[i].variance, serial->variance);
-    EXPECT_EQ(decisions[i].index, dec.index);
-    EXPECT_EQ(decisions[i].fallback, dec.fallback);
+    EXPECT_EQ(decisions[i][0].index, dec[0].index);
+    EXPECT_EQ(decisions[i][0].fallback, dec[0].fallback);
   }
 }
 

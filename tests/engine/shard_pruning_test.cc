@@ -1,13 +1,12 @@
 // Zone-map shard pruning: pruned fan-outs must stay BITWISE identical to
 // the full fan-out across every partition scheme and answer surface
 // (COUNT/SUM/AVG/group-by/batched), pruning must actually fire on
-// selective attribute-partitioned queries, legacy v3 manifests must load
-// without zone maps and never prune, and ingest-sealed shards must carry
-// zone maps of their own.
+// selective attribute-partitioned queries, loaded stores must prune like
+// the in-memory ones, and ingest-sealed shards must carry zone maps of
+// their own.
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -240,10 +239,8 @@ TEST(ShardPruningTest, SaveLoadPreservesZoneMapsAndPartitionAttr) {
   for (size_t s = 0; s < (*loaded)->num_shards(); ++s) {
     ASSERT_NE((*loaded)->zone_map(s), nullptr) << "shard " << s;
   }
-  // The persisted manifest lists every shard's zone map.
   auto m = ShardedStore::ReadManifest(dir);
   ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->zonemap_dirs.size(), m->shard_dirs.size());
   EXPECT_EQ(m->partition_attr, 0u);
 
   // The loaded store prunes exactly like the in-memory one.
@@ -259,50 +256,6 @@ TEST(ShardPruningTest, SaveLoadPreservesZoneMapsAndPartitionAttr) {
   }
   EXPECT_NEAR(a->expectation, b->expectation,
               1e-12 * (1.0 + std::abs(a->expectation)));
-  fs::remove_all(dir);
-}
-
-TEST(ShardPruningTest, LegacyV3ManifestLoadsWithoutZoneMapsAndNeverPrunes) {
-  auto table = PruningTable(1600, 359);
-  auto built = ShardedStore::Build(
-      *table, SmallShardedOptions(PartitionScheme::kRoundRobin));
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-
-  const std::string dir =
-      (fs::temp_directory_path() / "entropydb_shard_pruning_v3").string();
-  fs::remove_all(dir);
-  ASSERT_TRUE((*built)->Save(dir).ok());
-
-  // Rewrite the manifest as a PR 5-era v3: no checksum footer, no zonemap
-  // lines — even though the ZONEMAP files still sit in the shard dirs.
-  auto m = ShardedStore::ReadManifest(dir);
-  ASSERT_TRUE(m.ok());
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST",
-                      std::ios::binary | std::ios::trunc);
-    out << "ENTROPYDB_STORE_V3\nscheme roundrobin\nshards "
-        << m->shard_dirs.size() << "\n";
-    for (const std::string& d : m->shard_dirs) out << "shard " << d << "\n";
-  }
-
-  auto loaded = ShardedStore::Load(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  for (size_t s = 0; s < (*loaded)->num_shards(); ++s) {
-    EXPECT_EQ((*loaded)->zone_map(s), nullptr) << "shard " << s;
-  }
-  // No zone maps means no pruning: every shard scans, answers match the
-  // original store's full fan-out.
-  CountingQuery q(4);
-  q.Where(0, AttrPredicate::Point(3)).Where(2, AttrPredicate::Point(1));
-  std::vector<RouteDecision> decs;
-  auto est = (*loaded)->Answer(q, &decs);
-  ASSERT_TRUE(est.ok());
-  for (const RouteDecision& d : decs) EXPECT_FALSE(d.pruned);
-  (*built)->set_zone_map_pruning(false);
-  auto ref = (*built)->Answer(q);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_NEAR(est->expectation, ref->expectation,
-              1e-12 * (1.0 + std::abs(ref->expectation)));
   fs::remove_all(dir);
 }
 
@@ -354,7 +307,6 @@ TEST(ShardPruningTest, IngestSealedShardsCarryZoneMaps) {
   auto m = ShardedStore::ReadManifest(dir);
   ASSERT_TRUE(m.ok());
   ASSERT_EQ(m->shard_dirs.size(), 3u);
-  EXPECT_EQ(m->zonemap_dirs.size(), 3u);
 
   auto loaded = ShardedStore::Load(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -1,11 +1,10 @@
 // ShardedStore: sharded-vs-monolithic equivalence fuzzing (merged COUNT/SUM
 // estimates and variances must equal the additive per-shard reference),
-// MANIFEST v3 round-trips, transparent EntropyEngine::Open dispatch, and
-// backward-compatible v2/v1 monolithic loads.
+// MANIFEST round-trips, transparent EntropyEngine::Open dispatch between
+// sharded and monolithic directories, and typed manifest rejection.
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -279,72 +278,44 @@ TEST(ShardedStoreTest, ManifestV3RoundTripsBitwise) {
 TEST(ShardedStoreTest, EngineOpenDispatchesShardedVsMonolithic) {
   auto table = CorrelatedTable(1500, 257);
 
-  // v3 (sharded) directory -> sharded engine.
+  // Sharded directory -> multi-shard engine.
   auto sharded = ShardedStore::Build(*table, SmallShardedOptions(2));
   ASSERT_TRUE(sharded.ok());
-  const std::string v3dir =
-      (fs::temp_directory_path() / "entropydb_open_v3_test").string();
-  fs::remove_all(v3dir);
-  ASSERT_TRUE((*sharded)->Save(v3dir).ok());
-  auto v3engine = EntropyEngine::Open(v3dir);
-  ASSERT_TRUE(v3engine.ok()) << v3engine.status().ToString();
-  EXPECT_EQ((*v3engine)->num_shards(), 2u);
-  EXPECT_DOUBLE_EQ((*v3engine)->n(), 1500.0);
+  const std::string sharded_dir =
+      (fs::temp_directory_path() / "entropydb_open_sharded_test").string();
+  fs::remove_all(sharded_dir);
+  ASSERT_TRUE((*sharded)->Save(sharded_dir).ok());
+  auto sharded_engine = EntropyEngine::Open(sharded_dir);
+  ASSERT_TRUE(sharded_engine.ok()) << sharded_engine.status().ToString();
+  EXPECT_EQ((*sharded_engine)->num_shards(), 2u);
+  EXPECT_DOUBLE_EQ((*sharded_engine)->n(), 1500.0);
 
-  // v2 (monolithic) directory -> store engine, exactly as before.
+  // Monolithic directory -> one-shard engine.
   StoreOptions mono = SmallShardedOptions(1).store;
   auto store = SourceStore::Build(*table, mono);
   ASSERT_TRUE(store.ok());
-  const std::string v2dir =
-      (fs::temp_directory_path() / "entropydb_open_v2_test").string();
-  fs::remove_all(v2dir);
-  ASSERT_TRUE((*store)->Save(v2dir).ok());
-  EXPECT_FALSE(ShardedStore::IsShardedDir(v2dir));
-  auto v2engine = EntropyEngine::Open(v2dir);
-  ASSERT_TRUE(v2engine.ok());
-  EXPECT_EQ((*v2engine)->num_shards(), 1u);
+  const std::string mono_dir =
+      (fs::temp_directory_path() / "entropydb_open_mono_test").string();
+  fs::remove_all(mono_dir);
+  ASSERT_TRUE((*store)->Save(mono_dir).ok());
+  EXPECT_FALSE(ShardedStore::IsShardedDir(mono_dir));
+  auto mono_engine = EntropyEngine::Open(mono_dir);
+  ASSERT_TRUE(mono_engine.ok());
+  EXPECT_EQ((*mono_engine)->num_shards(), 1u);
 
   // The two layouts answer the same queries through one facade; sharded
   // estimates merge additively so totals track the monolithic ones.
   CountingQuery q(4);
   q.Where(0, AttrPredicate::Point(2)).Where(1, AttrPredicate::Point(2));
-  auto sharded_est = (*v3engine)->Answer(q);
-  auto mono_est = (*v2engine)->Answer(q);
+  auto sharded_est = (*sharded_engine)->Answer(q);
+  auto mono_est = (*mono_engine)->Answer(q);
   ASSERT_TRUE(sharded_est.ok());
   ASSERT_TRUE(mono_est.ok());
   EXPECT_GT(sharded_est->expectation, 0.0);
   EXPECT_GT(mono_est->expectation, 0.0);
 
-  // v1 (PR 2-era summary-only) manifest keeps loading as a monolithic
-  // store through the same Open.
-  const std::string v1dir =
-      (fs::temp_directory_path() / "entropydb_open_v1_test").string();
-  fs::remove_all(v1dir);
-  fs::create_directories(v1dir);
-  {
-    std::ofstream out(fs::path(v1dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V1\n";
-    out << "summaries " << (*store)->size() << "\n";
-    for (size_t k = 0; k < (*store)->size(); ++k) {
-      const std::string file = "summary_" + std::to_string(k) + ".edb";
-      out << "entry " << file << " pairs " << (*store)->entry(k).pairs.size();
-      for (const ScoredPair& p : (*store)->entry(k).pairs) {
-        out << ' ' << p.a << ' ' << p.b << ' ' << p.cramers_v;
-      }
-      out << '\n';
-      ASSERT_TRUE(
-          (*store)->summary(k).Save((fs::path(v1dir) / file).string()).ok());
-    }
-  }
-  EXPECT_FALSE(ShardedStore::IsShardedDir(v1dir));
-  auto v1engine = EntropyEngine::Open(v1dir);
-  ASSERT_TRUE(v1engine.ok()) << v1engine.status().ToString();
-  EXPECT_EQ((*v1engine)->num_shards(), 1u);
-  EXPECT_EQ((*v1engine)->num_samples(), 0u);
-
-  fs::remove_all(v3dir);
-  fs::remove_all(v2dir);
-  fs::remove_all(v1dir);
+  fs::remove_all(sharded_dir);
+  fs::remove_all(mono_dir);
 }
 
 TEST(ShardedStoreTest, LoadRejectsNonShardedAndCorruptManifests) {
@@ -352,22 +323,35 @@ TEST(ShardedStoreTest, LoadRejectsNonShardedAndCorruptManifests) {
       (fs::temp_directory_path() / "entropydb_sharded_reject_test").string();
   fs::remove_all(dir);
   fs::create_directories(dir);
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V2\nsummaries 1\n";
-  }
+  // Every manifest below carries a valid footer, so each load fails on
+  // the record it names rather than on the checksum.
+  auto write_manifest = [&](const std::string& payload) {
+    ASSERT_TRUE(WriteChecksummedFile(Env::Default(), dir + "/MANIFEST",
+                                     payload)
+                    .ok());
+  };
+  write_manifest("ENTROPYDB_STORE_V4 mono\nsummaries 1\n");
   EXPECT_FALSE(ShardedStore::IsShardedDir(dir));
-  EXPECT_TRUE(ShardedStore::Load(dir).status().IsCorruption());
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V3\nscheme warp\nshards 1\nshard shard_0\n";
-  }
+  EXPECT_TRUE(ShardedStore::Load(dir).status().IsInvalidArgument());
+  write_manifest(
+      "ENTROPYDB_STORE_V4 sharded\nscheme warp\nwal_sealed 0\nshards 1\n"
+      "shard shard_0\nshardrows 1\nshardrow 10\n");
   EXPECT_FALSE(ShardedStore::Load(dir).ok());
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V3\nscheme hash\nshards 0\n";
-  }
-  EXPECT_TRUE(ShardedStore::Load(dir).status().IsCorruption());
+  write_manifest(
+      "ENTROPYDB_STORE_V4 sharded\nscheme hash\nwal_sealed 0\nshards 0\n");
+  auto no_shards = ShardedStore::Load(dir);
+  EXPECT_TRUE(no_shards.status().IsCorruption());
+  EXPECT_NE(no_shards.status().message().find("bad shards record"),
+            std::string::npos)
+      << no_shards.status().ToString();
+  write_manifest(
+      "ENTROPYDB_STORE_V4 sharded\nscheme hash\nwal_sealed 0\nshards 1\n"
+      "shard shard_0\n");
+  auto no_rows = ShardedStore::Load(dir);
+  EXPECT_TRUE(no_rows.status().IsCorruption());
+  EXPECT_NE(no_rows.status().message().find("missing shardrows record"),
+            std::string::npos)
+      << no_rows.status().ToString();
   fs::remove_all(dir);
 }
 

@@ -1,9 +1,7 @@
-// SourceStore: sample companions alongside summaries, MANIFEST v2
-// round-trips, and backward-compatible loading of PR 2-era (v1,
-// summary-only) store directories.
+// SourceStore: sample companions alongside summaries, MANIFEST
+// round-trips, and schema validation of every source.
 
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -96,57 +94,6 @@ TEST(SourceStoreTest, SaveLoadRoundTripsSamplesAndSummaries) {
     ASSERT_TRUE(eb.ok());
     EXPECT_EQ(ea->expectation, eb->expectation);
     EXPECT_EQ(ea->variance, eb->variance);
-  }
-  fs::remove_all(dir);
-}
-
-TEST(SourceStoreTest, LoadsV1SummaryOnlyDirectoriesUnchanged) {
-  // Reconstruct a PR 2-era store directory byte-for-byte: a v1 MANIFEST
-  // (no samples section) plus per-summary .edb files.
-  auto table = TwoPairTable(1000, 147);
-  StoreOptions opts;
-  opts.num_summaries = 2;
-  opts.total_budget = 40;
-  opts.summary.solver.max_iterations = 120;
-  auto built = SourceStore::Build(*table, opts);
-  ASSERT_TRUE(built.ok());
-
-  const std::string dir =
-      (fs::temp_directory_path() / "entropydb_v1_store_test").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V1\n";
-    out << "summaries " << (*built)->size() << "\n";
-    for (size_t k = 0; k < (*built)->size(); ++k) {
-      const std::string file = "summary_" + std::to_string(k) + ".edb";
-      out << "entry " << file << " pairs " << (*built)->entry(k).pairs.size();
-      for (const ScoredPair& p : (*built)->entry(k).pairs) {
-        out << ' ' << p.a << ' ' << p.b << ' ' << p.cramers_v;
-      }
-      out << '\n';
-      ASSERT_TRUE((*built)
-                      ->summary(k)
-                      .Save((fs::path(dir) / file).string())
-                      .ok());
-    }
-  }
-
-  auto loaded = SourceStore::Load(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->size(), (*built)->size());
-  EXPECT_EQ((*loaded)->num_samples(), 0u);
-  EXPECT_EQ((*loaded)->widest(), (*built)->widest());
-  CountingQuery q(5);
-  q.Where(0, AttrPredicate::Point(1)).Where(1, AttrPredicate::Point(1));
-  for (size_t k = 0; k < (*built)->size(); ++k) {
-    auto a = (*built)->summary(k).Answer(q);
-    auto b = (*loaded)->summary(k).Answer(q);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_NEAR(a->expectation, b->expectation,
-                1e-12 * (1.0 + a->expectation));
   }
   fs::remove_all(dir);
 }

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -133,9 +132,14 @@ TEST(SummaryStoreTest, LoadRejectsMissingAndCorruptStores) {
       (fs::temp_directory_path() / "entropydb_bad_store").string();
   fs::remove_all(dir);
   fs::create_directories(dir);
-  std::ofstream(dir + "/MANIFEST") << "NOT_A_STORE\n";
+  ASSERT_TRUE(WriteChecksummedFile(Env::Default(), dir + "/MANIFEST",
+                                   "NOT_A_STORE\n")
+                  .ok());
   auto bad = SourceStore::Load(dir);
-  EXPECT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsCorruption());
+  EXPECT_NE(bad.status().message().find("bad store manifest header"),
+            std::string::npos)
+      << bad.status().ToString();
   fs::remove_all(dir);
 }
 

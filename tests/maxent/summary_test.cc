@@ -93,10 +93,13 @@ TEST_F(SummaryIoTest, LoadRejectsMissingFile) {
 }
 
 TEST_F(SummaryIoTest, LoadRejectsBadHeader) {
-  std::ofstream out(path_);
-  out << "NOT_A_SUMMARY\n";
-  out.close();
-  EXPECT_TRUE(EntropySummary::Load(path_).status().IsCorruption());
+  ASSERT_TRUE(
+      WriteChecksummedFile(Env::Default(), path_, "NOT_A_SUMMARY\n").ok());
+  auto loaded = EntropySummary::Load(path_);
+  EXPECT_TRUE(loaded.status().IsCorruption());
+  EXPECT_NE(loaded.status().message().find("bad summary header"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST_F(SummaryIoTest, LoadRejectsTruncatedFile) {

@@ -1,8 +1,8 @@
 // The row-group index behind indexed sample evaluation: structural
 // invariants, bitwise identity of indexed vs. scan Count/Sum (randomized
-// predicates over stratified + uniform samples), .eds v2 round trips,
-// v1 rebuild-on-load compat, and routing-decision identity between an
-// indexed and an unindexed store.
+// predicates over stratified + uniform samples), .eds round trips,
+// typed rejection of a corrupt persisted index, and routing-decision
+// identity between an indexed and an unindexed store.
 
 #include <filesystem>
 #include <fstream>
@@ -12,6 +12,7 @@
 
 #include "../test_util.h"
 #include "engine/query_router.h"
+#include "engine/sharded_store.h"
 #include "engine/source_store.h"
 #include "sampling/sample_estimator.h"
 #include "sampling/sample_index.h"
@@ -218,42 +219,6 @@ TEST(SampleIndexTest, IndexlessSamplesSaveAsV2WithoutIndex) {
   fs::remove(path);
 }
 
-TEST(SampleIndexTest, V1FilesRebuildTheIndexOnLoad) {
-  auto table = testutil::RandomTable({5, 6}, 800, 733);
-  auto drawn = StratifiedSampler::Create(*table, 0, 1, 0.1, 29);
-  ASSERT_TRUE(drawn.ok());
-  const std::string path =
-      (fs::temp_directory_path() / "entropydb_sample_v1.eds").string();
-  fs::remove(path);
-  ASSERT_TRUE(SaveSample(*drawn, path).ok());
-  // Rewrite the file as a PR 3-era v1: old header, no index block, no
-  // checksum footer (v1 predates checksummed formats).
-  {
-    std::ifstream in(path);
-    std::stringstream body;
-    body << in.rdbuf();
-    std::string text = body.str();
-    const size_t index_at = text.find("\nindex ");
-    ASSERT_NE(index_at, std::string::npos);
-    text.resize(index_at + 1);  // drop the index block, keep the newline
-    const std::string v3 = "ENTROPYDB_SAMPLE_V3";
-    ASSERT_EQ(text.compare(0, v3.size(), v3), 0);
-    text[v3.size() - 1] = '1';  // V3 -> V1 header
-    std::ofstream out(path);
-    out << text;
-  }
-  auto loaded = LoadSample(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // v1 compat: the index is rebuilt on open, identical to a fresh build.
-  ASSERT_NE(loaded->index, nullptr);
-  auto fresh = SampleIndex::Build(*drawn->rows);
-  for (AttrId a = 0; a < 2; ++a) {
-    EXPECT_EQ(loaded->index->attr(a).offsets, fresh->attr(a).offsets);
-    EXPECT_EQ(loaded->index->attr(a).perm, fresh->attr(a).perm);
-  }
-  fs::remove(path);
-}
-
 TEST(SampleIndexTest, CorruptV2IndexFailsTheLoad) {
   auto table = testutil::RandomTable({4, 5}, 600, 737);
   auto drawn = StratifiedSampler::Create(*table, 0, 1, 0.1, 31);
@@ -265,21 +230,13 @@ TEST(SampleIndexTest, CorruptV2IndexFailsTheLoad) {
   ASSERT_TRUE(SaveSample(*drawn, path).ok());
   // Flip one permutation entry: the row lands in a group whose code it
   // does not carry. The load must fail loudly, not serve skewed answers.
-  // The file is downgraded to a checksum-less v2 first so the failure
-  // exercises the index-invariant validation, not the CRC footer.
+  // It runs with checksum verification off, so the failure exercises the
+  // index-invariant validation, not the (now stale) CRC footer.
   {
     std::ifstream in(path);
     std::stringstream body;
     body << in.rdbuf();
     std::string text = body.str();
-    const std::string footer_tag = "crc32c ";
-    ASSERT_GE(text.size(), 16u);
-    ASSERT_EQ(text.compare(text.size() - 16, footer_tag.size(), footer_tag),
-              0);
-    text.resize(text.size() - 16);
-    const std::string v3 = "ENTROPYDB_SAMPLE_V3";
-    ASSERT_EQ(text.compare(0, v3.size(), v3), 0);
-    text[v3.size() - 1] = '2';  // V3 -> V2: parsed, but not checksummed
     const size_t perm_at = text.find("\nperm ");
     ASSERT_NE(perm_at, std::string::npos);
     const size_t first = perm_at + 6;
@@ -291,11 +248,13 @@ TEST(SampleIndexTest, CorruptV2IndexFailsTheLoad) {
     std::ofstream out(path);
     out << text;
   }
-  auto loaded = LoadSample(path);
+  auto loaded = LoadSample(path, Env::Default(), /*verify_checksums=*/false);
   // Either the swap broke a group invariant (the common case) or, in the
   // degenerate case where codes happen to agree, ordering broke instead;
   // both are Corruption.
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.status().message().find("checksum"), std::string::npos)
+      << loaded.status().ToString();
   fs::remove(path);
 }
 
@@ -378,16 +337,19 @@ TEST(SampleIndexTest, RoutingDecisionsAndAnswerAllIdenticalWithIndexes) {
   // its candidate scratch thread-local, so the batched answers must be
   // bitwise the serial ones. (The AnswerAll name keeps this inside the
   // TSan CI job's filter.)
-  std::vector<RouteDecision> batch_decisions;
-  auto batch = indexed_router.AnswerAll(workload, &batch_decisions);
+  auto one_shard =
+      ShardedStore::FromShards({*indexed}, PartitionScheme::kRoundRobin);
+  ASSERT_TRUE(one_shard.ok()) << one_shard.status().ToString();
+  std::vector<std::vector<RouteDecision>> batch_decisions;
+  auto batch = (*one_shard)->AnswerAll(workload, &batch_decisions);
   ASSERT_TRUE(batch.ok());
   for (size_t i = 0; i < workload.size(); ++i) {
-    RouteDecision dec;
-    auto serial = indexed_router.Answer(workload[i], &dec);
+    std::vector<RouteDecision> dec;
+    auto serial = (*one_shard)->Answer(workload[i], &dec);
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ((*batch)[i].expectation, serial->expectation);
     EXPECT_EQ((*batch)[i].variance, serial->variance);
-    EXPECT_EQ(batch_decisions[i].from_sample, dec.from_sample);
+    EXPECT_EQ(batch_decisions[i][0].from_sample, dec[0].from_sample);
   }
 }
 

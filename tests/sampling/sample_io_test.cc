@@ -1,7 +1,6 @@
 // Sample persistence: .eds round trips and the token-format guard.
 
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -55,8 +54,13 @@ TEST(SampleIoTest, LoadRejectsMissingAndCorruptFiles) {
   EXPECT_FALSE(LoadSample("/nonexistent/sample.eds").ok());
   const std::string path =
       (fs::temp_directory_path() / "entropydb_sample_io_corrupt.eds").string();
-  std::ofstream(path) << "NOT_A_SAMPLE\n";
-  EXPECT_FALSE(LoadSample(path).ok());
+  ASSERT_TRUE(
+      WriteChecksummedFile(Env::Default(), path, "NOT_A_SAMPLE\n").ok());
+  auto loaded = LoadSample(path);
+  EXPECT_TRUE(loaded.status().IsCorruption());
+  EXPECT_NE(loaded.status().message().find("bad sample header"),
+            std::string::npos)
+      << loaded.status().ToString();
   fs::remove(path);
 }
 

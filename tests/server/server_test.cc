@@ -2,12 +2,19 @@
 // through the wire byte-for-byte like the engine, repeated queries hit
 // the result cache, versioned roots support time travel and keep pinned
 // readers bitwise-stable across concurrent publishes, malformed frames
-// close the connection, and overload surfaces as typed SERVER_BUSY.
+// close the connection, overload surfaces as typed SERVER_BUSY, and Stop()
+// never touches a descriptor a finished session released.
 
 #include "server/server.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <array>
+#include <chrono>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -469,6 +476,49 @@ TEST_F(ServerTest, JoinAnswersOverTheWireAndCaches) {
   EXPECT_EQ(bad->message, "join query must start with COUNT or SUM");
 
   fs::remove_all(right_path);
+}
+
+/// Descriptors the process holds open right now.
+size_t OpenFdCount() {
+  return static_cast<size_t>(std::distance(
+      fs::directory_iterator("/proc/self/fd"), fs::directory_iterator()));
+}
+
+TEST_F(ServerTest, StopLeavesReusedDescriptorsAlone) {
+  StartServer();
+  const size_t baseline = OpenFdCount();
+  for (int i = 0; i < 8; ++i) {
+    WireClient client = Connect();
+    MustCall(client, "STATS");
+  }
+  // Every session saw its client hang up and closed its socket, so the
+  // process is back to the descriptors it had before the sessions.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (OpenFdCount() > baseline &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_LE(OpenFdCount(), baseline);
+
+  // These pairs reuse the numbers the finished sessions released; Stop()
+  // must not shut any of them down.
+  std::vector<std::array<int, 2>> pairs(8);
+  for (auto& pair : pairs) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair.data()), 0);
+  }
+  server_->Stop();
+  for (const auto& pair : pairs) {
+    for (int end = 0; end < 2; ++end) {
+      char got = 0;
+      EXPECT_EQ(::send(pair[end], "x", 1, MSG_NOSIGNAL), 1) << pair[end];
+      EXPECT_EQ(::recv(pair[1 - end], &got, 1, MSG_DONTWAIT), 1)
+          << pair[1 - end];
+      EXPECT_EQ(got, 'x');
+    }
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
 }
 
 TEST_F(ServerTest, UnversionedStoreServesWithoutVersionCommands) {

@@ -415,7 +415,7 @@ int main(int argc, char** argv) {
     }
 
     // --shards: partition the rows and build one full store per shard in
-    // parallel; persists as a MANIFEST v3 directory.
+    // parallel; persists as a sharded MANIFEST v4 directory.
     if (args.count("shards")) {
       ShardedOptions shopts;
       shopts.num_shards = std::stoul(args["shards"]);

@@ -123,16 +123,12 @@ void PrintBanner(const EntropyEngine& engine) {
   if (sharded.scheme() == PartitionScheme::kAttribute) {
     scheme_desc += ":" + names[sharded.partition_attr()];
   }
-  size_t with_zone_maps = 0;
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    with_zone_maps += sharded.zone_map(s) != nullptr ? 1 : 0;
-  }
   std::fprintf(stderr,
-               "loaded store: %zu shard%s (%s partitioning, %zu with zone "
-               "maps, compaction generation %llu), %zu summaries + %zu "
-               "samples total, n = %.0f, attributes:",
+               "loaded store: %zu shard%s (%s partitioning, compaction "
+               "generation %llu), %zu summaries + %zu samples total, "
+               "n = %.0f, attributes:",
                sharded.num_shards(), sharded.num_shards() == 1 ? "" : "s",
-               scheme_desc.c_str(), with_zone_maps,
+               scheme_desc.c_str(),
                static_cast<unsigned long long>(sharded.compaction_gen()),
                engine.num_summaries(), engine.num_samples(), engine.n());
   for (const std::string& name : names) {
