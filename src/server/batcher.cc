@@ -12,6 +12,36 @@ QueryBatcher::QueryBatcher(Options options) : options_(options) {
 
 QueryBatcher::~QueryBatcher() { Stop(); }
 
+Status QueryBatcher::AdmitLocked(size_t n) {
+  if (stopped_) {
+    return Status::ResourceExhausted("batcher stopped");
+  }
+  if (in_flight_ + n > options_.queue_capacity) {
+    ++stats_.rejected;
+    return Status::ResourceExhausted("admission queue full");
+  }
+  in_flight_ += n;
+  stats_.accepted += n;
+  return Status::OK();
+}
+
+void QueryBatcher::Release(size_t n, uint64_t expired) {
+  std::lock_guard<std::mutex> lock(mu_);
+  in_flight_ -= n;
+  stats_.expired += expired;
+}
+
+template <typename T>
+Result<T> QueryBatcher::Finish(size_t n,
+                               std::chrono::steady_clock::time_point deadline,
+                               Result<T> answer) {
+  const auto now = std::chrono::steady_clock::now();
+  const bool late = answer.ok() && deadline <= now;
+  Release(n, late ? 1 : 0);
+  if (late) return Status::DeadlineExceeded("query deadline exceeded");
+  return answer;
+}
+
 Result<std::future<Result<QueryEstimate>>> QueryBatcher::SubmitAsync(
     std::shared_ptr<const EntropyEngine> engine, CountingQuery query,
     std::chrono::steady_clock::time_point deadline) {
@@ -21,20 +51,13 @@ Result<std::future<Result<QueryEstimate>>> QueryBatcher::SubmitAsync(
   std::future<Result<QueryEstimate>> future;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      return Status::ResourceExhausted("batcher stopped");
-    }
-    if (queue_.size() >= options_.queue_capacity) {
-      ++stats_.rejected;
-      return Status::ResourceExhausted("admission queue full");
-    }
+    RETURN_NOT_OK(AdmitLocked(1));
     Pending pending;
     pending.engine = std::move(engine);
     pending.query = std::move(query);
     pending.deadline = deadline;
     future = pending.promise.get_future();
     queue_.push_back(std::move(pending));
-    ++stats_.accepted;
   }
   cv_.notify_one();
   return future;
@@ -44,15 +67,30 @@ Result<QueryEstimate> QueryBatcher::Submit(
     std::shared_ptr<const EntropyEngine> engine, CountingQuery query,
     std::chrono::milliseconds deadline) {
   const auto deadline_at = std::chrono::steady_clock::now() + deadline;
-  ASSIGN_OR_RETURN(std::future<Result<QueryEstimate>> future,
-                   SubmitAsync(std::move(engine), std::move(query),
-                               deadline_at));
-  if (future.wait_until(deadline_at) != std::future_status::ready) {
-    // The queued entry stays; dispatch will answer it into an abandoned
-    // future (or expire it), but THIS caller's latency bound holds.
-    return Status::DeadlineExceeded("query deadline exceeded");
+  if (engine == nullptr) {
+    return Status::InvalidArgument("null engine submitted");
   }
-  return future.get();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RETURN_NOT_OK(AdmitLocked(1));
+  }
+  return Finish(1, deadline_at, engine->Answer(query));
+}
+
+Result<std::vector<QueryEstimate>> QueryBatcher::SubmitAll(
+    std::shared_ptr<const EntropyEngine> engine,
+    const std::vector<CountingQuery>& queries,
+    std::chrono::milliseconds deadline) {
+  const auto deadline_at = std::chrono::steady_clock::now() + deadline;
+  if (engine == nullptr) {
+    return Status::InvalidArgument("null engine submitted");
+  }
+  if (queries.empty()) return std::vector<QueryEstimate>();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RETURN_NOT_OK(AdmitLocked(queries.size()));
+  }
+  return Finish(queries.size(), deadline_at, engine->AnswerAll(queries));
 }
 
 std::vector<QueryBatcher::Pending> QueryBatcher::TakeBatchLocked() {
@@ -82,21 +120,20 @@ size_t QueryBatcher::DrainOnce() {
     ++stats_.batches;
   }
   // Fail entries whose deadline already passed instead of spending answer
-  // work on a result nobody is waiting for.
+  // work on a result nobody is waiting for. Slots are released before
+  // promises resolve, so a caller holding its answer also sees its
+  // admission slot free again.
   const auto now = std::chrono::steady_clock::now();
   std::vector<Pending> live;
-  size_t expired = 0;
+  std::vector<Pending> expired;
   for (Pending& p : batch) {
-    if (p.deadline <= now) {
-      p.promise.set_value(Status::DeadlineExceeded("expired in queue"));
-      ++expired;
-    } else {
-      live.push_back(std::move(p));
-    }
+    (p.deadline <= now ? expired : live).push_back(std::move(p));
   }
-  if (expired > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.expired += expired;
+  if (!expired.empty()) {
+    Release(expired.size(), expired.size());
+    for (Pending& p : expired) {
+      p.promise.set_value(Status::DeadlineExceeded("expired in queue"));
+    }
   }
   if (live.empty()) return batch.size();
 
@@ -104,15 +141,20 @@ size_t QueryBatcher::DrainOnce() {
   queries.reserve(live.size());
   for (const Pending& p : live) queries.push_back(p.query);
   auto answers = live.front().engine->AnswerAll(queries);
-  if (!answers.ok()) {
-    // Batch-level failure: every caller gets the status. Per-query errors
-    // (e.g. one arity mismatch) surface this way too — acceptable for a
-    // micro-batch of a few dozen; the session layer reports the code.
-    for (Pending& p : live) p.promise.set_value(answers.status());
-    return batch.size();
+  std::vector<Result<QueryEstimate>> results;
+  results.reserve(live.size());
+  if (answers.ok()) {
+    for (const QueryEstimate& est : *answers) results.emplace_back(est);
+  } else {
+    // AnswerAll fails as a whole when any one query does (an arity
+    // mismatch, say); answered alone, each query's error reaches only its
+    // own caller. Answer is bitwise AnswerAll's slot, so the others' values
+    // do not depend on the failure.
+    for (const Pending& p : live) results.push_back(p.engine->Answer(p.query));
   }
+  Release(live.size(), 0);
   for (size_t i = 0; i < live.size(); ++i) {
-    live[i].promise.set_value((*answers)[i]);
+    live[i].promise.set_value(std::move(results[i]));
   }
   return batch.size();
 }
@@ -135,6 +177,7 @@ void QueryBatcher::Stop() {
     if (stopped_) return;
     stopped_ = true;
     leftover.swap(queue_);
+    in_flight_ -= leftover.size();
   }
   cv_.notify_all();
   if (worker_.joinable()) worker_.join();

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <future>
 
 #include "query/parser.h"
 #include "storage/version_set.h"
@@ -92,6 +91,13 @@ std::vector<double> AggregateWeights(const EntropyEngine& engine,
   return weights;
 }
 
+/// The request's own deadline, or `default_ms` when it carries none.
+std::chrono::milliseconds RequestDeadline(const Request& req,
+                                          uint64_t default_ms) {
+  const uint64_t ms = req.deadline_ms > 0 ? req.deadline_ms : default_ms;
+  return std::chrono::milliseconds(ms);
+}
+
 std::string JoinIds(const std::vector<uint64_t>& ids) {
   std::string out;
   for (uint64_t id : ids) {
@@ -121,9 +127,11 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Start(
         EntropyEngine::Open(options.join_path, options.summary, env));
   }
 
+  // Sessions answer through the blocking Submit/SubmitAll only, so no
+  // dispatcher thread is needed.
   QueryBatcher::Options bopts;
   bopts.queue_capacity = options.queue_capacity;
-  bopts.max_batch = options.max_batch;
+  bopts.start_worker = false;
   server->batcher_ = std::make_unique<QueryBatcher>(bopts);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -309,13 +317,13 @@ Result<std::string> QueryServer::HandleQuery(Session* session,
     lines.push_back("cached 1");
     return EncodeOkResponse(lines);
   }
-  const std::chrono::milliseconds deadline(
-      req.deadline_ms > 0 ? req.deadline_ms : options_.default_deadline_ms);
+  const std::chrono::milliseconds deadline =
+      RequestDeadline(req, options_.default_deadline_ms);
   QueryResult result;
   switch (parsed.aggregate) {
     case ParsedQuery::Aggregate::kCount: {
-      // COUNT keeps riding the micro-batcher (the admission-controlled
-      // path); everything else answers through the unified surface.
+      // COUNT passes admission and its deadline, then answers on this
+      // thread; everything else answers through the unified surface.
       ASSIGN_OR_RETURN(QueryEstimate est,
                        batcher_->Submit(engine, parsed.where, deadline));
       result = CountResult(est);
@@ -400,51 +408,40 @@ Result<std::string> QueryServer::HandleBatch(Session* session,
   ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
   const std::shared_ptr<EntropyEngine>& engine = resolved.first;
   const uint64_t version = resolved.second;
-  const auto deadline_at =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(req.deadline_ms > 0
-                                    ? req.deadline_ms
-                                    : options_.default_deadline_ms);
 
-  // Parse everything before submitting anything: a malformed query fails
+  // Parse everything before answering anything: a malformed query fails
   // the whole batch without burning answer work.
-  struct Slot {
-    std::string key;
-    std::optional<QueryResult> cached;
-    std::future<Result<QueryEstimate>> future;
-  };
-  std::vector<Slot> slots(req.queries.size());
-  std::vector<ParsedQuery> parsed(req.queries.size());
+  std::vector<std::string> keys(req.queries.size());
+  std::vector<std::optional<QueryResult>> cached(req.queries.size());
+  std::vector<CountingQuery> misses;
   for (size_t i = 0; i < req.queries.size(); ++i) {
     ASSIGN_OR_RETURN(
-        parsed[i],
+        ParsedQuery parsed,
         ParseQuery(req.queries[i], engine->attr_names(), engine->domains()));
-    if (parsed[i].aggregate != ParsedQuery::Aggregate::kCount) {
+    if (parsed.aggregate != ParsedQuery::Aggregate::kCount) {
       return Status::InvalidArgument(
           "BATCH queries must be COUNT (the batched answering path)");
     }
-    slots[i].key = CanonicalQueryKey(parsed[i]);
-    slots[i].cached = cache_.Get(version, slots[i].key);
+    keys[i] = CanonicalQueryKey(parsed);
+    cached[i] = cache_.Get(version, keys[i]);
+    if (!cached[i].has_value()) misses.push_back(std::move(parsed.where));
   }
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].cached.has_value()) continue;
-    ASSIGN_OR_RETURN(slots[i].future,
-                     batcher_->SubmitAsync(engine, parsed[i].where,
-                                           deadline_at));
-  }
+  // The misses are admitted together and answered by one AnswerAll on
+  // this thread, which spreads them over the thread pool.
+  const std::chrono::milliseconds deadline =
+      RequestDeadline(req, options_.default_deadline_ms);
+  ASSIGN_OR_RETURN(std::vector<QueryEstimate> answers,
+                   batcher_->SubmitAll(engine, misses, deadline));
   std::vector<std::string> lines;
-  lines.reserve(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].cached.has_value()) {
-      lines.push_back(EstimateLine(slots[i].cached->estimate));
+  lines.reserve(keys.size());
+  size_t next = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (cached[i].has_value()) {
+      lines.push_back(EstimateLine(cached[i]->estimate));
       continue;
     }
-    if (slots[i].future.wait_until(deadline_at) !=
-        std::future_status::ready) {
-      return Status::DeadlineExceeded("batch deadline exceeded");
-    }
-    ASSIGN_OR_RETURN(QueryEstimate est, slots[i].future.get());
-    cache_.Put(version, slots[i].key, CountResult(est));
+    const QueryEstimate& est = answers[next++];
+    cache_.Put(version, keys[i], CountResult(est));
     lines.push_back(EstimateLine(est));
   }
   return EncodeOkResponse(lines);

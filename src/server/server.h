@@ -34,11 +34,14 @@ namespace entropydb {
 /// Request flow per session (one thread per connection; sessions are
 /// independent): frame decode -> ParseRequest -> result cache probe
 /// (keyed on (version, canonical query) — immutable versions make hits
-/// trivially correct) -> COUNT queries micro-batch through the shared
-/// QueryBatcher into AnswerAll, every other aggregate kind answers
-/// directly through the engine's unified Answer(AggregateQuery) surface
-/// -> framed response rendered from the QueryResult (so a cache hit is
-/// byte-identical to the miss that populated it). Overload returns typed
+/// trivially correct) -> answer on the session thread -> framed response
+/// rendered from the QueryResult (so a cache hit is byte-identical to the
+/// miss that populated it). A QUERY COUNT passes the shared QueryBatcher's
+/// admission and deadline and answers with the engine's sequential shard
+/// fan-out; a BATCH frame's misses are admitted together and answered by
+/// one AnswerAll over the thread pool, the multi-core path; every other
+/// aggregate kind answers directly through the engine's unified
+/// Answer(AggregateQuery) surface. Overload returns typed
 /// SERVER_BUSY/DEADLINE_EXCEEDED errors (see server/batcher.h) instead of
 /// queuing without bound.
 ///
@@ -56,10 +59,9 @@ class QueryServer {
     std::string path;
     /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
     uint16_t port = 0;
-    /// Admission bound for queued queries (QueryBatcher::Options).
+    /// Admission bound for COUNT queries in flight
+    /// (QueryBatcher::Options::queue_capacity).
     size_t queue_capacity = 256;
-    /// Most queries per AnswerAll dispatch.
-    size_t max_batch = 64;
     /// Result cache entries (0 disables caching).
     size_t cache_capacity = 4096;
     /// Deadline for requests that do not carry their own, in ms.
@@ -88,8 +90,9 @@ class QueryServer {
   /// The bound port (the ephemeral one when Options::port was 0).
   uint16_t port() const { return port_; }
 
-  /// Stops accepting, closes every session, drains the batcher, joins all
-  /// threads. Idempotent; the destructor calls it.
+  /// Stops accepting, closes every session, joins all threads (a session
+  /// finishes the answer it is computing first), then stops the batcher.
+  /// Idempotent; the destructor calls it.
   void Stop();
 
   /// Re-reads the root's CURRENT pointer (no-op for unversioned paths).

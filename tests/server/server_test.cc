@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <functional>
 #include <iterator>
+#include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -287,19 +288,44 @@ TEST_F(ServerTest, StatsReportsServingCounters) {
   WireClient client = Connect();
   MustCall(client, "QUERY COUNT(*)");
   MustCall(client, "QUERY COUNT(*)");
+  MustCall(client, "BATCH 2\nCOUNT(*) WHERE A0 = 1\nCOUNT(*) WHERE A1 = 2");
   WireResponse stats = MustCall(client, "STATS");
-  // The first COUNT dispatches through the batcher into AnswerAll (so it
-  // counts as a batched query); the repeat is a cache hit and never
-  // reaches the engine.
-  bool saw_batched = false, saw_hits = false, saw_version = false;
-  for (const std::string& line : stats.lines) {
-    if (line == "batched_queries 1") saw_batched = true;
-    if (line == "cache_hits 1") saw_hits = true;
-    if (line == "version 1") saw_version = true;
+  // The first COUNT answers inline as one engine query; the repeat is a
+  // cache hit and never reaches the engine. The BATCH frame is one
+  // AnswerAll of its two misses. All three misses passed admission.
+  std::set<std::string> lines(stats.lines.begin(), stats.lines.end());
+  for (const char* want :
+       {"version 1", "queries 1", "batches 1", "batched_queries 2",
+        "cache_hits 1", "cache_misses 3", "admitted 3", "rejected 0",
+        "expired 0"}) {
+    EXPECT_EQ(lines.count(want), 1u) << want;
   }
-  EXPECT_TRUE(saw_version);
-  EXPECT_TRUE(saw_batched);
-  EXPECT_TRUE(saw_hits);
+}
+
+TEST_F(ServerTest, BatchWiderThanTheQueueIsServerBusy) {
+  // A frame's cache misses are admitted together or not at all, so a
+  // frame with more misses than --queue is refused before any answer
+  // work; one that fits answers, and cached slots do not count.
+  StartServer([](QueryServer::Options* opts) { opts->queue_capacity = 2; });
+  WireClient client = Connect();
+  const std::string wide =
+      "BATCH 3\nCOUNT(*) WHERE A0 = 0\nCOUNT(*) WHERE A0 = 1\n"
+      "COUNT(*) WHERE A0 = 2";
+  auto busy = client.CallRaw(wide);
+  ASSERT_TRUE(busy.ok());
+  EXPECT_FALSE(busy->ok);
+  EXPECT_EQ(busy->code, "SERVER_BUSY");
+
+  WireResponse fits = MustCall(
+      client, "BATCH 2\nCOUNT(*) WHERE A0 = 0\nCOUNT(*) WHERE A0 = 1");
+  ASSERT_EQ(fits.lines.size(), 2u);
+  // Now only one of the three misses: the same wide frame answers.
+  WireResponse again = MustCall(client, wide);
+  ASSERT_EQ(again.lines.size(), 3u);
+  EXPECT_EQ(again.lines[0], fits.lines[0]);
+  EXPECT_EQ(again.lines[1], fits.lines[1]);
+  WireResponse single = MustCall(client, "QUERY COUNT(*) WHERE A0 = 2");
+  EXPECT_EQ(Line0(single), again.lines[2]);
 }
 
 TEST_F(ServerTest, ConcurrentPublishesKeepPinnedReaderBitwiseStable) {

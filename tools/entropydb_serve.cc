@@ -2,7 +2,7 @@
 // the length-prefixed text protocol in docs/SERVING.md.
 //
 //   entropydb_serve --store flights.vdb [--port N] [--join PATH]
-//       [--queue N] [--max-batch N] [--cache N] [--deadline-ms N]
+//       [--queue N] [--cache N] [--deadline-ms N]
 //       [--verify-checksums on|off]
 //
 // --join loads a second (RIGHT) relation once at startup and enables the
@@ -36,8 +36,7 @@ void Usage() {
   std::fprintf(
       stderr,
       "usage: entropydb_serve --store PATH [--port N] [--join PATH]\n"
-      "                       [--queue N] [--max-batch N] [--cache N]\n"
-      "                       [--deadline-ms N]\n"
+      "                       [--queue N] [--cache N] [--deadline-ms N]\n"
       "                       [--verify-checksums on|off]\n");
 }
 
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
     opts.port = static_cast<uint16_t>(std::stoul(args["port"]));
   }
   if (args.count("queue")) opts.queue_capacity = std::stoul(args["queue"]);
-  if (args.count("max-batch")) opts.max_batch = std::stoul(args["max-batch"]);
   if (args.count("cache")) opts.cache_capacity = std::stoul(args["cache"]);
   if (args.count("deadline-ms")) {
     opts.default_deadline_ms = std::stoul(args["deadline-ms"]);
