@@ -6,15 +6,15 @@
 // the smallest matching groups instead.
 //
 // Before benchmarks run, a verification pass gates the PR's semantics
-// bar: over randomized predicate mixes AND the three fixed workloads,
+// bar: over randomized predicate mixes AND the four fixed workloads,
 // indexed Count/Sum estimates and variances must be BITWISE equal to the
 // scan path's (the index may never change an answer or a routing
 // decision, only its latency). The pass also measures per-query wall
 // time indexed vs. scan per workload; --index_out FILE writes the
 // measurements as JSON, which CI's perf-regression gate
 // (tools/check_perf_gate.py) checks: indexed evaluation must actually be
-// FASTER than the scan on the selective workload. The bench exits
-// non-zero if the bitwise gate fails.
+// FASTER than the scan on the selective workload and on the wide
+// multi-group one. The bench exits non-zero if the bitwise gate fails.
 
 #include <cmath>
 #include <cstdio>
@@ -66,7 +66,8 @@ struct IndexFixture {
   std::unique_ptr<SampleEstimator> scan_est;
   // Workloads by selectivity of the most selective predicate:
   std::vector<CountingQuery> selective;  // two point predicates, ~0.2%
-  std::vector<CountingQuery> moderate;   // quarter-domain range, ~25%
+  std::vector<CountingQuery> moderate;   // range plus a point: one group
+  std::vector<CountingQuery> wide;       // 8-12 code range, 25-38%
   std::vector<CountingQuery> broad;      // near-full range: scan cutover
 
   static IndexFixture& Get() {
@@ -88,11 +89,20 @@ struct IndexFixture {
         s.Where(0, AttrPredicate::Point(v))
             .Where(1, AttrPredicate::Point((v + 7) % 32));
         fx->selective.push_back(s);
-        // Moderate: a quarter of attribute 0's domain.
+        // Moderate: a quarter of attribute 0's domain plus a point on
+        // attribute 2, whose single group is the smaller plan.
         CountingQuery m(4);
         m.Where(0, AttrPredicate::Range(v % 24, v % 24 + 7))
             .Where(2, AttrPredicate::Point(v % 16));
         fx->moderate.push_back(m);
+        // Wide: 8-12 of attribute 0's 32 codes and nothing else — every
+        // plan spans several groups, below the scan cutover (the shape
+        // of a wide one-attribute SUM filter).
+        const Code width = 8 + v % 5;
+        const Code lo = (3 * v) % (33 - width);
+        CountingQuery w(4);
+        w.Where(0, AttrPredicate::Range(lo, lo + width - 1));
+        fx->wide.push_back(w);
         // Broad: nearly the whole domain — the estimator's cutover
         // hands this back to the scan path, so indexed latency must
         // match scan latency here, not regress it.
@@ -221,6 +231,18 @@ void BM_ScanCountModerate(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanCountModerate);
 
+void BM_IndexedCountWide(benchmark::State& state) {
+  auto& f = IndexFixture::Get();
+  RunWorkload(state, *f.indexed_est, f.wide);
+}
+BENCHMARK(BM_IndexedCountWide);
+
+void BM_ScanCountWide(benchmark::State& state) {
+  auto& f = IndexFixture::Get();
+  RunWorkload(state, *f.scan_est, f.wide);
+}
+BENCHMARK(BM_ScanCountWide);
+
 void BM_IndexedCountBroad(benchmark::State& state) {
   auto& f = IndexFixture::Get();
   RunWorkload(state, *f.indexed_est, f.broad);
@@ -252,7 +274,7 @@ int main(int argc, char** argv) {
 
   auto& f = IndexFixture::Get();
   const bool bitwise = BitwiseEqual(f.selective) && BitwiseEqual(f.moderate) &&
-                       BitwiseEqual(f.broad) &&
+                       BitwiseEqual(f.wide) && BitwiseEqual(f.broad) &&
                        BitwiseEqual(FuzzWorkload(500, 4099));
 
   struct Row {
@@ -262,6 +284,7 @@ int main(int argc, char** argv) {
   } rows[] = {
       {"selective", &f.selective, 0, 0},
       {"moderate", &f.moderate, 0, 0},
+      {"wide", &f.wide, 0, 0},
       {"broad", &f.broad, 0, 0},
   };
   std::printf("indexed vs. scan sample evaluation (%zu sample rows):\n",

@@ -177,16 +177,18 @@ Result<QueryResult> QueryRouter::Answer(const AggregateQuery& q,
       // Hybrid stage for SUM: stage-3 comparison on the filter count's
       // variance (the shared routing objective), then answer the
       // aggregate from the winner. The tie-break may have evaluated the
-      // winner's count already; reuse it.
+      // winner's count already; either way the summary's SUM reuses it.
       if (store_->num_samples() > 0 &&
           q.where.num_attributes() == store_->num_attributes()) {
-        auto cnt = routed_cnt.has_value() ? Result<QueryEstimate>(*routed_cnt)
-                                          : s.Answer(q.where);
-        if (cnt.ok()) {
+        if (!routed_cnt.has_value()) {
+          auto cnt = s.Answer(q.where);
+          if (cnt.ok()) routed_cnt = *cnt;
+        }
+        if (routed_cnt.has_value()) {
           size_t sample_index = 0;
-          ASSIGN_OR_RETURN(
-              const bool from_sample,
-              HybridChallenge(q.where, *cnt, &dec, &sample_index, nullptr));
+          ASSIGN_OR_RETURN(const bool from_sample,
+                           HybridChallenge(q.where, *routed_cnt, &dec,
+                                           &sample_index, nullptr));
           if (from_sample) {
             ASSIGN_OR_RETURN(QueryResult out,
                              store_->sample_source(sample_index).Answer(q));
@@ -197,16 +199,19 @@ Result<QueryResult> QueryRouter::Answer(const AggregateQuery& q,
           }
         }
       }
-      ASSIGN_OR_RETURN(QueryResult out, s.Answer(q));
+      ASSIGN_OR_RETURN(QueryResult out, s.Answer(q, routed_cnt));
       dec.expected_variance = out.estimate.variance;
       out.route = dec;
       if (decision != nullptr) *decision = dec;
       return out;
     }
     case AggregateKind::kAvg: {
-      // Summary-only: samples have no batched ratio path.
-      const size_t index = RouteEntry(q.where, {q.agg_attr}, &dec);
-      ASSIGN_OR_RETURN(QueryResult out, store_->summary(index).Answer(q));
+      // Summary-only: samples have no batched ratio path. The tie-break's
+      // filter count, when it ran, is the ratio's denominator.
+      std::optional<QueryEstimate> routed_cnt;
+      const size_t index = RouteEntry(q.where, {q.agg_attr}, &dec, &routed_cnt);
+      ASSIGN_OR_RETURN(QueryResult out,
+                       store_->summary(index).Answer(q, routed_cnt));
       dec.expected_variance = out.estimate.variance;
       out.route = dec;
       if (decision != nullptr) *decision = dec;

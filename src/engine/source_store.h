@@ -60,7 +60,7 @@ struct StoreOptions {
   /// scanning the whole sample. Indexed and unindexed evaluation are
   /// bitwise identical — this knob trades index memory/build time for
   /// route-time latency only. Indexes are built in parallel and persisted
-  /// in the .eds v2 files Save writes.
+  /// in the .eds files Save writes.
   bool sample_index = true;
 };
 

@@ -29,7 +29,9 @@ Result<QueryEstimate> QueryAnswerer::Answer(const CountingQuery& q) const {
   return est;
 }
 
-Result<QueryResult> QueryAnswerer::Answer(const AggregateQuery& q) const {
+Result<QueryResult> QueryAnswerer::Answer(
+    const AggregateQuery& q,
+    const std::optional<QueryEstimate>& filter_count) const {
   QueryResult out;
   if (q.kind == AggregateKind::kCount) {
     ASSIGN_OR_RETURN(out.estimate, Answer(q.where));
@@ -59,7 +61,11 @@ Result<QueryResult> QueryAnswerer::Answer(const AggregateQuery& q) const {
   // the same estimate a plain COUNT reports.
   ASSIGN_OR_RETURN(std::vector<QueryEstimate> counts,
                    AnswerGroupByAttribute(a, q.where));
-  ASSIGN_OR_RETURN(out.count, Answer(q.where));
+  if (filter_count.has_value()) {
+    out.count = *filter_count;
+  } else {
+    ASSIGN_OR_RETURN(out.count, Answer(q.where));
+  }
 
   // Multinomial cell moments over the matching values:
   //   Var S  = n (sum w^2 p - (sum w p)^2)

@@ -2,6 +2,7 @@
 #define ENTROPYDB_MAXENT_ANSWERER_H_
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -54,9 +55,16 @@ class QueryAnswerer {
   /// same delta method once across shards without dropping the cross term
   /// (docs/ESTIMATORS.md "Cross-shard merging").
   ///
+  /// `filter_count`, when set, must be this model's own Answer(q.where)
+  /// — a router that already evaluated the filter count hands it in, and
+  /// SUM/AVG then skip that masked evaluation. The answer is bitwise the
+  /// same either way.
+  ///
   /// QUANTILE/TOPK/JOIN kinds are derived at the engine facade from
   /// group-by marginals, not here — kNotSupported.
-  Result<QueryResult> Answer(const AggregateQuery& q) const;
+  Result<QueryResult> Answer(
+      const AggregateQuery& q,
+      const std::optional<QueryEstimate>& filter_count = std::nullopt) const;
 
   /// Point-group-by: for each listed code combination of `attrs`, the
   /// estimate of COUNT(*) at that point with `base` as the residual filter.

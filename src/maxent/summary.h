@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,12 @@ class EntropySummary {
 
   /// The unified aggregate surface (COUNT/SUM/AVG; see
   /// QueryAnswerer::Answer(const AggregateQuery&) for the moment model
-  /// every result carries).
-  Result<QueryResult> Answer(const AggregateQuery& q) const {
-    return answerer_->Answer(q);
+  /// every result carries, and for `filter_count`, this summary's own
+  /// Answer(q.where) when the caller already holds it).
+  Result<QueryResult> Answer(
+      const AggregateQuery& q,
+      const std::optional<QueryEstimate>& filter_count = std::nullopt) const {
+    return answerer_->Answer(q, filter_count);
   }
 
   /// Point group-by estimates (see QueryAnswerer::AnswerGroupBy).

@@ -7,12 +7,12 @@ namespace entropydb {
 
 namespace {
 
-/// Candidate-row scratch for indexed evaluation. Estimators are shared
-/// const across the lock-free query path, so the buffer is per thread;
+/// Row bitmap for multi-group indexed evaluation. Estimators are shared
+/// const across the lock-free query path, so the bitmap is per thread;
 /// it amortizes to zero allocations per query.
-std::vector<uint32_t>& RowScratch() {
-  thread_local std::vector<uint32_t> buf;
-  return buf;
+std::vector<uint64_t>& RowBitmap() {
+  thread_local std::vector<uint64_t> bits;
+  return bits;
 }
 
 }  // namespace
@@ -27,34 +27,35 @@ SampleEstimator::SampleEstimator(const WeightedSample& sample)
   miss_floor_ = std::max(0.0, w_max * (w_max - 1.0));
 }
 
-const std::vector<uint32_t>* SampleEstimator::IndexedCandidates(
-    const CountingQuery& q, AttrId* chosen) const {
+bool SampleEstimator::PlanIndexed(const CountingQuery& q,
+                                  IndexedPlan* plan) const {
   if (sample_.index == nullptr ||
       sample_.index->num_rows() != sample_.rows->num_rows()) {
-    return nullptr;
+    return false;
   }
   const SampleIndex& index = *sample_.index;
   size_t candidates = 0;
-  if (!index.BestAttribute(q, chosen, &candidates)) return nullptr;
-  // Near-full candidate sets make the gather (plus possible re-sort) cost
+  if (!index.BestAttribute(q, &plan->chosen, &candidates)) return false;
+  // Near-full candidate sets make marking and walking the bitmap cost
   // more than the plain scan it replaces; both paths are bitwise
   // identical, so the cutover is purely a latency choice.
-  if (2 * candidates >= index.num_rows()) return nullptr;
-  std::vector<uint32_t>& rows = RowScratch();
-  rows.clear();
-  const size_t groups = index.CollectRows(*chosen, q.predicate(*chosen), &rows);
-  // Groups are each ascending; merging several requires a re-sort to
-  // restore the global ascending original-row order the scan path
-  // accumulates in — THE invariant keeping indexed sums bitwise equal.
-  if (groups > 1) std::sort(rows.begin(), rows.end());
-  return &rows;
+  if (2 * candidates >= index.num_rows()) return false;
+  std::vector<uint64_t>& bits = RowBitmap();
+  if (index.MarkRows(plan->chosen, q.predicate(plan->chosen), &plan->single,
+                     &bits) > 1) {
+    plan->bits = &bits;
+  }
+  return true;
 }
 
 QueryEstimate SampleEstimator::Count(const CountingQuery& q) const {
+  // Hoisted out of the per-row statements: reloading it through `this`
+  // on every matched row costs the scan loop a register.
+  const double* weights = sample_.weights.data();
   QueryEstimate est;
   bool matched = false;
   ForEachMatchingRow(q, [&](size_t r) {
-    const double w = sample_.weights[r];
+    const double w = weights[r];
     est.expectation += w;
     est.variance += w * (w - 1.0);
     matched = true;
@@ -67,10 +68,11 @@ QueryEstimate SampleEstimator::Sum(AttrId a,
                                    const std::vector<double>& values,
                                    const CountingQuery& q) const {
   const Table& t = *sample_.rows;
+  const double* weights = sample_.weights.data();
   QueryEstimate est;
   bool matched = false;
   ForEachMatchingRow(q, [&](size_t r) {
-    const double w = sample_.weights[r];
+    const double w = weights[r];
     const double v = values[t.at(r, a)];
     est.expectation += w * v;
     est.variance += w * (w - 1.0) * v * v;
@@ -88,10 +90,11 @@ QueryResult SampleEstimator::Moments(AttrId a,
                                      const std::vector<double>& values,
                                      const CountingQuery& q) const {
   const Table& t = *sample_.rows;
+  const double* weights = sample_.weights.data();
   QueryResult out;
   bool matched = false;
   ForEachMatchingRow(q, [&](size_t r) {
-    const double w = sample_.weights[r];
+    const double w = weights[r];
     const double v = values[t.at(r, a)];
     out.count.expectation += w;
     out.count.variance += w * (w - 1.0);

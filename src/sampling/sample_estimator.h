@@ -1,11 +1,13 @@
 #ifndef ENTROPYDB_SAMPLING_SAMPLE_ESTIMATOR_H_
 #define ENTROPYDB_SAMPLING_SAMPLE_ESTIMATOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "maxent/answerer.h"
 #include "query/counting_query.h"
 #include "sampling/sample.h"
+#include "sampling/sample_index.h"
 
 namespace entropydb {
 
@@ -18,11 +20,13 @@ namespace entropydb {
 ///
 /// When the sample carries a row-group index (WeightedSample::index),
 /// selective queries are answered from the smallest matching row groups
-/// instead of a full scan. Candidate rows are accumulated in ascending
-/// original-row order — exactly the scan's order — so indexed estimates,
-/// variances, and every routing decision built on them are bitwise
-/// identical to the unindexed path (docs/PERFORMANCE.md has the cost
-/// model and measured speedups).
+/// instead of a full scan. A single group is walked straight off the
+/// index permutation; several groups are marked in a per-thread row
+/// bitmap whose set bits are read low to high. Either way candidate rows
+/// are accumulated in ascending original-row order — exactly the scan's
+/// order — so indexed estimates, variances, and every routing decision
+/// built on them are bitwise identical to the unindexed path
+/// (docs/PERFORMANCE.md has the cost model and measured speedups).
 ///
 /// When NO sampled row matches, the matching-row sum degenerates to
 /// variance 0 — which would read as "perfectly confident the count is 0"
@@ -68,30 +72,52 @@ class SampleEstimator {
   double MissFloor() const { return miss_floor_; }
 
  private:
-  /// Indexed-plan front half shared by Count and Sum: picks the
+  /// Candidate rows of an indexed plan: the rows of the matching groups
+  /// of attribute `chosen`, in ascending original-row order, either as
+  /// one group's slice of the index permutation or — when `bits` is set —
+  /// as the set bits of a thread-local row bitmap.
+  struct IndexedPlan {
+    AttrId chosen = 0;
+    SampleIndex::RowSpan single;
+    const std::vector<uint64_t>* bits = nullptr;
+  };
+
+  /// Indexed-plan front half shared by Count, Sum and Moments: picks the
   /// constrained attribute with the smallest matching row groups and
-  /// gathers its candidate rows in ascending original-row order (into
-  /// thread-local scratch). Returns nullptr when the sample has no index,
-  /// the query constrains nothing, or the candidate set is so large that
-  /// scanning is cheaper — the caller then takes the scan path, which is
-  /// bitwise equivalent either way.
-  const std::vector<uint32_t>* IndexedCandidates(const CountingQuery& q,
-                                                 AttrId* chosen) const;
+  /// lays out its candidate rows (see IndexedPlan). Returns false when
+  /// the sample has no index, the query constrains nothing, or the
+  /// candidate set is so large that scanning is cheaper — the caller then
+  /// takes the scan path, which is bitwise equivalent either way.
+  bool PlanIndexed(const CountingQuery& q, IndexedPlan* plan) const;
 
   /// Runs `fn(row)` for every sample row matching `q`, in ascending
   /// original-row order, via the indexed plan when profitable and the
-  /// full scan otherwise. Count and Sum both accumulate through this one
-  /// iterator, so the two paths cannot desynchronize: per matching row
-  /// they execute the identical statements in the identical order — the
-  /// bitwise-identity contract routing depends on.
+  /// full scan otherwise. Count, Sum and Moments all accumulate through
+  /// this one iterator, so the paths cannot desynchronize: per matching
+  /// row they execute the identical statements in the identical order —
+  /// the bitwise-identity contract routing depends on.
   template <typename PerRow>
   void ForEachMatchingRow(const CountingQuery& q, const PerRow& fn) const {
     const Table& t = *sample_.rows;
-    AttrId chosen = 0;
-    if (const std::vector<uint32_t>* rows = IndexedCandidates(q, &chosen)) {
-      const ActivePredicates residual(q, chosen);
-      for (uint32_t r : *rows) {
-        if (residual.Matches(t, r)) fn(r);
+    IndexedPlan plan;
+    if (PlanIndexed(q, &plan)) {
+      const ActivePredicates residual(q, plan.chosen);
+      if (plan.bits != nullptr) {
+        const std::vector<uint64_t>& bits = *plan.bits;
+        for (size_t w = 0; w < bits.size(); ++w) {
+          // Clearing the lowest set bit each step reads the word's rows
+          // in ascending order.
+          for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+            const size_t r =
+                w * 64 + static_cast<size_t>(__builtin_ctzll(word));
+            if (residual.Matches(t, r)) fn(r);
+          }
+        }
+      } else {
+        for (const uint32_t* r = plan.single.begin; r != plan.single.end;
+             ++r) {
+          if (residual.Matches(t, *r)) fn(*r);
+        }
       }
     } else {
       const ActivePredicates active(q);

@@ -128,26 +128,45 @@ bool SampleIndex::BestAttribute(const CountingQuery& q, AttrId* best,
   return have;
 }
 
-size_t SampleIndex::CollectRows(AttrId a, const AttrPredicate& pred,
-                                std::vector<uint32_t>* out) const {
+size_t SampleIndex::MarkRows(AttrId a, const AttrPredicate& pred,
+                             RowSpan* single,
+                             std::vector<uint64_t>* bits) const {
   const AttrIndex& idx = attrs_[a];
   const size_t dom = idx.offsets.size() - 1;
+  *single = RowSpan{};
   size_t groups = 0;
-  auto append = [&](Code c) {
-    const uint32_t b = idx.offsets[c], e = idx.offsets[c + 1];
-    if (b == e) return;
-    out->insert(out->end(), idx.perm.begin() + b, idx.perm.begin() + e);
-    ++groups;
+  auto mark = [bits](RowSpan span) {
+    uint64_t* words = bits->data();
+    for (const uint32_t* r = span.begin; r != span.end; ++r) {
+      words[*r >> 6] |= uint64_t{1} << (*r & 63);
+    }
+  };
+  auto add = [&](Code c) {
+    const RowSpan span{idx.perm.data() + idx.offsets[c],
+                       idx.perm.data() + idx.offsets[c + 1]};
+    if (span.begin == span.end) return;
+    if (++groups == 1) {
+      *single = span;
+      return;
+    }
+    if (groups == 2) {
+      // A second group: the candidates no longer form one ascending run,
+      // so both go to the bitmap.
+      bits->assign((num_rows_ + 63) / 64, 0);
+      mark(*single);
+      *single = RowSpan{};
+    }
+    mark(span);
   };
   if (pred.kind() == AttrPredicate::Kind::kSet) {
     for (Code c : pred.set()) {
-      if (c < dom) append(c);
+      if (c < dom) add(c);
     }
     return groups;
   }
   const auto [lo, hi] = PredInterval(pred, dom);
   if (lo <= hi) {
-    for (Code c = lo; c <= hi; ++c) append(c);
+    for (Code c = lo; c <= hi; ++c) add(c);
   }
   return groups;
 }

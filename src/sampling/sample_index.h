@@ -23,11 +23,13 @@ namespace entropydb {
 /// only those candidate rows instead of scanning the whole sample.
 ///
 /// The ascending-within-group invariant is what keeps indexed evaluation
-/// semantics-preserving: SampleEstimator re-sorts candidates from multiple
-/// groups into ascending original-row order before accumulating, so sums,
-/// variances, and every routing decision downstream are bitwise identical
-/// to the full-scan path (floating-point addition is order-sensitive; the
-/// ORDER, not just the set, must match). See docs/PERFORMANCE.md.
+/// semantics-preserving: SampleEstimator walks one group straight off the
+/// permutation, and candidates from several groups through a row bitmap
+/// read low bit to high, so either way rows accumulate in ascending
+/// original-row order and sums, variances, and every routing decision
+/// downstream are bitwise identical to the full-scan path (floating-point
+/// addition is order-sensitive; the ORDER, not just the set, must match).
+/// See docs/PERFORMANCE.md.
 ///
 /// Immutable after construction and safe to share across query threads.
 class SampleIndex {
@@ -45,7 +47,7 @@ class SampleIndex {
   /// group by construction).
   static std::shared_ptr<const SampleIndex> Build(const Table& rows);
 
-  /// Assembles an index from persisted parts (sample_io's .eds v2 load),
+  /// Assembles an index from persisted parts (sample_io's .eds load),
   /// validating the invariants Build guarantees — offsets are monotone
   /// prefix sums ending at `num_rows`, each group's rows are ascending,
   /// and every grouped row really carries the group's code in `rows` — so
@@ -69,12 +71,22 @@ class SampleIndex {
   bool BestAttribute(const CountingQuery& q, AttrId* best,
                      size_t* candidates) const;
 
-  /// Appends the rows of the groups matching `pred` on `a` to `out`
-  /// (each group ascending). Returns the number of non-empty groups
-  /// appended: with more than one, the caller must re-sort `out` to
-  /// restore global ascending row order.
-  size_t CollectRows(AttrId a, const AttrPredicate& pred,
-                     std::vector<uint32_t>* out) const;
+  /// A slice [begin, end) of one attribute's permutation.
+  struct RowSpan {
+    const uint32_t* begin = nullptr;
+    const uint32_t* end = nullptr;
+  };
+
+  /// Hands over the rows of the groups matching `pred` on `a` in a form
+  /// that walks in ascending original-row order without a sort, and
+  /// returns how many non-empty groups matched. With at most one, `*single`
+  /// is that group's slice of perm(a) (ascending by construction; empty
+  /// when nothing matched) and `bits` is untouched. With more, `*single`
+  /// is empty and `bits` holds ceil(num_rows / 64) words with bit r % 64
+  /// of word r / 64 set for exactly the candidate rows r, so reading the
+  /// set bits low to high visits them in ascending row order.
+  size_t MarkRows(AttrId a, const AttrPredicate& pred, RowSpan* single,
+                  std::vector<uint64_t>* bits) const;
 
   size_t MemoryBytes() const;
 

@@ -155,6 +155,34 @@ TEST(QueryRouterTest, RoutedAnswersMatchThePerSummaryReference) {
   }
 }
 
+TEST(QueryRouterTest, RoutedSumAndAvgAreTheChosenSummarysOwnAnswers) {
+  // SUM and AVG reuse the filter count the coverage tie-break evaluated;
+  // the routed answer must still be bitwise the chosen summary's own.
+  auto& f = RoutedFixture::Get();
+  auto table = TwoPairTable(200, 67);
+  const std::vector<double> weights = {2.0, -1.0, 0.5, 8.0};
+  Rng rng(71);
+  size_t tie_breaks = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const CountingQuery q = testutil::RandomQuery(rng, *table);
+    for (const AggregateQuery& agg : {AggregateQuery::Sum(4, weights, q),
+                                      AggregateQuery::Avg(4, weights, q)}) {
+      RouteDecision dec;
+      auto routed = f.router.Answer(agg, &dec);
+      ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+      auto own = f.store->summary(dec.index).Answer(agg);
+      ASSERT_TRUE(own.ok()) << own.status().ToString();
+      EXPECT_EQ(routed->estimate.expectation, own->estimate.expectation);
+      EXPECT_EQ(routed->estimate.variance, own->estimate.variance);
+      EXPECT_EQ(routed->count.expectation, own->count.expectation);
+      EXPECT_EQ(routed->count.variance, own->count.variance);
+      EXPECT_EQ(routed->sum_count_cov, own->sum_count_cov);
+      tie_breaks += dec.candidates > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(tie_breaks, 0u);
+}
+
 TEST(QueryRouterTest, AnswerAllMatchesSerialAnswers) {
   auto& f = RoutedFixture::Get();
   std::vector<CountingQuery> workload;

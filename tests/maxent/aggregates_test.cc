@@ -50,6 +50,36 @@ Solved SolveFor(const Table& table, std::vector<MultiDimStatistic> stats) {
   return Solved{std::move(reg), std::move(*poly), std::move(st)};
 }
 
+TEST(AggregateTest, HandedInFilterCountLeavesSumAndAvgBitwiseUnchanged) {
+  // The router hands the summary the filter count it already evaluated;
+  // the SUM and AVG answers must be exactly the ones computed without it.
+  auto table = RandomTable({6, 5, 7, 4}, 2000, 2207);
+  auto s = SolveFor(*table, RandomDisjointStats(*table, 0, 1, 6, 2208));
+  QueryAnswerer answerer(s.reg, s.poly, s.state);
+  std::vector<double> weights(7);
+  for (size_t v = 0; v < weights.size(); ++v) weights[v] = 1.5 * v - 2.0;
+  Rng rng(2209);
+  for (int trial = 0; trial < 150; ++trial) {
+    const CountingQuery q = testutil::RandomQuery(rng, *table);
+    auto count = answerer.Answer(q);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    for (const AggregateQuery& agg : {AggregateQuery::Sum(2, weights, q),
+                                      AggregateQuery::Avg(2, weights, q)}) {
+      auto fresh = answerer.Answer(agg);
+      auto reused = answerer.Answer(agg, *count);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+      EXPECT_EQ(reused->estimate.expectation, fresh->estimate.expectation);
+      EXPECT_EQ(reused->estimate.variance, fresh->estimate.variance);
+      EXPECT_EQ(reused->sum.expectation, fresh->sum.expectation);
+      EXPECT_EQ(reused->sum.variance, fresh->sum.variance);
+      EXPECT_EQ(reused->count.expectation, fresh->count.expectation);
+      EXPECT_EQ(reused->count.variance, fresh->count.variance);
+      EXPECT_EQ(reused->sum_count_cov, fresh->sum_count_cov);
+    }
+  }
+}
+
 TEST(GroupByAttributeTest, MatchesPointQueries) {
   auto table = RandomTable({5, 6, 4}, 700, 131);
   auto s = SolveFor(*table, RandomDisjointStats(*table, 0, 1, 5, 132));

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -52,6 +53,40 @@ inline std::shared_ptr<Table> RandomTable(
     }
   }
   return MakeTable(domain_sizes, rows);
+}
+
+/// A random conjunctive query over `t` mixing ANY / point / range / set
+/// predicates (each attribute independently; sets hold 1-3 codes).
+inline CountingQuery RandomQuery(Rng& rng, const Table& t) {
+  CountingQuery q(t.num_attributes());
+  for (AttrId a = 0; a < t.num_attributes(); ++a) {
+    const uint32_t dom = t.domain(a).size();
+    switch (rng.Uniform(5)) {
+      case 0: {  // point
+        q.Where(a, AttrPredicate::Point(static_cast<Code>(rng.Uniform(dom))));
+        break;
+      }
+      case 1: {  // range
+        Code lo = static_cast<Code>(rng.Uniform(dom));
+        Code hi = static_cast<Code>(rng.Uniform(dom));
+        if (hi < lo) std::swap(lo, hi);
+        q.Where(a, AttrPredicate::Range(lo, hi));
+        break;
+      }
+      case 2: {  // set
+        std::vector<Code> codes;
+        const size_t k = 1 + rng.Uniform(3);
+        for (size_t i = 0; i < k; ++i) {
+          codes.push_back(static_cast<Code>(rng.Uniform(dom)));
+        }
+        q.Where(a, AttrPredicate::InSet(std::move(codes)));
+        break;
+      }
+      default:
+        break;  // ANY
+    }
+  }
+  return q;
 }
 
 /// Exact 1-D histograms of a table, as registry targets.

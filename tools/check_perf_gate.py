@@ -6,8 +6,9 @@ keep true):
 
   * sample-index (bench_sample_index --index_out): indexed and scan
     evaluation stayed bitwise identical, indexed evaluation is actually
-    FASTER than the scan on the selective workload, and the broad
-    workload's cutover overhead stays within --tolerance.
+    FASTER than the scan on the selective workload and on the wide
+    multi-group workload (the row-bitmap walk), and the broad workload's
+    cutover overhead stays within --tolerance.
   * shard-scaling (bench_shard_scaling --shard_out, via --shard FILE):
     merged sharded COUNT/SUM estimates match the additive per-shard
     reference to <= 1e-9 relative error, and — when the measuring machine
@@ -90,19 +91,20 @@ def check_sample_index(gate, tolerance=1.25):
     # A gate whose job is to fail on drift must treat missing data as a
     # failure: a renamed/dropped workload section means the bench stopped
     # measuring what this script checks.
-    for section in ("selective", "broad"):
+    for section in ("selective", "wide", "broad"):
         for key in ("indexed_ns", "scan_ns"):
             if not isinstance(gate.get(section, {}).get(key), (int, float)):
                 failures.append(f"gate JSON is missing {section}.{key}")
     if failures:
         return failures
 
-    selective = gate["selective"]
-    if not selective["indexed_ns"] < selective["scan_ns"]:
-        failures.append(
-            f"selective workload: indexed ({selective['indexed_ns']:.0f} "
-            f"ns/query) is not faster than scan "
-            f"({selective['scan_ns']:.0f} ns/query)")
+    for section in ("selective", "wide"):
+        timing = gate[section]
+        if not timing["indexed_ns"] < timing["scan_ns"]:
+            failures.append(
+                f"{section} workload: indexed ({timing['indexed_ns']:.0f} "
+                f"ns/query) is not faster than scan "
+                f"({timing['scan_ns']:.0f} ns/query)")
 
     broad = gate["broad"]
     broad_ratio = broad["indexed_ns"] / max(broad["scan_ns"], 1.0)

@@ -25,7 +25,7 @@
 // persists them alongside the summaries; the query router then answers
 // each query from whichever source — summary or sample — expects the
 // lower variance (docs/ESTIMATORS.md). Each companion carries a row-group
-// index by default (persisted in the .eds v2 files) so selective queries
+// index by default (persisted in the .eds files) so selective queries
 // skip the full sample scan; --sample-index off disables it — answers are
 // bitwise identical either way, only route-time latency changes.
 // --shards N partitions the rows into N shards (--shard-scheme rr|hash)

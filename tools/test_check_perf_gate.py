@@ -15,6 +15,7 @@ def index_gate(**overrides):
         "bitwise_identical": True,
         "selective": {"indexed_ns": 1000.0, "scan_ns": 25000.0,
                       "speedup": 25.0},
+        "wide": {"indexed_ns": 10000.0, "scan_ns": 25000.0, "speedup": 2.5},
         "broad": {"indexed_ns": 9000.0, "scan_ns": 9000.0, "speedup": 1.0},
     }
     gate.update(overrides)
@@ -51,6 +52,16 @@ class SampleIndexGateTest(unittest.TestCase):
         failures = check_perf_gate.check_sample_index(gate)
         self.assertTrue(any("selective" in f for f in failures))
 
+    def test_slow_or_tied_wide_fails(self):
+        # The bar is strict: a bitmap walk that only matches the scan has
+        # not earned its code.
+        for extra_ns in (1.0, 0.0):
+            gate = index_gate()
+            gate["wide"]["indexed_ns"] = gate["wide"]["scan_ns"] + extra_ns
+            failures = check_perf_gate.check_sample_index(gate)
+            self.assertEqual(len(failures), 1)
+            self.assertIn("wide workload", failures[0])
+
     def test_broad_overhead_beyond_tolerance_fails(self):
         gate = index_gate()
         gate["broad"]["indexed_ns"] = 2.0 * gate["broad"]["scan_ns"]
@@ -64,6 +75,13 @@ class SampleIndexGateTest(unittest.TestCase):
         del gate["selective"]
         failures = check_perf_gate.check_sample_index(gate)
         self.assertTrue(any("missing selective" in f for f in failures))
+
+    def test_missing_wide_section_fails(self):
+        gate = index_gate()
+        del gate["wide"]
+        failures = check_perf_gate.check_sample_index(gate)
+        self.assertEqual(failures, ["gate JSON is missing wide.indexed_ns",
+                                    "gate JSON is missing wide.scan_ns"])
 
 
 class ShardScalingGateTest(unittest.TestCase):
