@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 
 #include "common/str_util.h"
 
@@ -244,7 +245,9 @@ Result<ParsedQuery> ParseQuery(const std::string& text,
     RETURN_NOT_OK(tok.Expect(","));
     if (tok.Done()) return Status::InvalidArgument("missing top-k count");
     ASSIGN_OR_RETURN(const double k, ParseDouble(tok.Next()));
-    if (!(k >= 1.0) || k != static_cast<uint64_t>(k)) {
+    // Bounded before the cast: a double past 2^53 is no exact count, and
+    // one past 2^64 (or inf) would overflow it.
+    if (!(k >= 1.0 && k <= 0x1p53) || k != std::floor(k)) {
       return Status::InvalidArgument("TOPK count must be a positive integer");
     }
     out.top_k = static_cast<uint64_t>(k);
@@ -334,6 +337,38 @@ Result<ParsedJoinQuery> ParseJoinQuery(
                                    tok.Peek() + "'");
   }
   return out;
+}
+
+AggregateQuery ToAggregateQuery(const ParsedQuery& parsed,
+                                const std::vector<Domain>& domains) {
+  const AttrId a = parsed.agg_attr;
+  const CountingQuery& where = parsed.where;
+  const auto weights = [&] { return BucketWeights(domains[a]); };
+  switch (parsed.aggregate) {
+    case ParsedQuery::Aggregate::kCount:
+      break;
+    case ParsedQuery::Aggregate::kSum:
+      return AggregateQuery::Sum(a, weights(), where);
+    case ParsedQuery::Aggregate::kAvg:
+      return AggregateQuery::Avg(a, weights(), where);
+    case ParsedQuery::Aggregate::kQuantile:
+      return AggregateQuery::Quantile(a, weights(), parsed.quantile, where);
+    case ParsedQuery::Aggregate::kTopK:
+      return AggregateQuery::TopK(a, parsed.top_k, where);
+  }
+  return AggregateQuery::Count(where);
+}
+
+AggregateQuery ToAggregateQuery(const ParsedJoinQuery& parsed,
+                                const std::vector<Domain>& left_domains) {
+  if (parsed.aggregate == ParsedJoinQuery::Aggregate::kCount) {
+    return AggregateQuery::JoinCount(parsed.left_join, parsed.right_join,
+                                     parsed.left_where, parsed.right_where);
+  }
+  return AggregateQuery::JoinSum(
+      parsed.agg_attr, BucketWeights(left_domains[parsed.agg_attr]),
+      parsed.left_join, parsed.right_join, parsed.left_where,
+      parsed.right_where);
 }
 
 }  // namespace entropydb

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "query/aggregate.h"
 #include "query/counting_query.h"
 #include "storage/domain.h"
 
@@ -79,6 +80,18 @@ Result<ParsedJoinQuery> ParseJoinQuery(
     const std::vector<Domain>& left_domains,
     const std::vector<std::string>& right_names,
     const std::vector<Domain>& right_domains);
+
+/// \brief The AggregateQuery a parsed query asks an engine for. SUM, AVG
+/// and QUANTILE weight `agg_attr` by BucketWeights over `domains`, the
+/// domains the query was parsed against.
+AggregateQuery ToAggregateQuery(const ParsedQuery& parsed,
+                                const std::vector<Domain>& domains);
+
+/// \brief The fused-join AggregateQuery a parsed join asks the LEFT engine
+/// for (EntropyEngine::AnswerJoin). JOIN_SUM weights the left-side
+/// `agg_attr` by BucketWeights over `left_domains`.
+AggregateQuery ToAggregateQuery(const ParsedJoinQuery& parsed,
+                                const std::vector<Domain>& left_domains);
 
 }  // namespace entropydb
 

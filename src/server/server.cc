@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -66,7 +67,7 @@ std::vector<std::string> ResultLines(const QueryResult& result) {
   return lines;
 }
 
-/// Wraps a batcher COUNT estimate the way Answer(AggregateQuery::Count)
+/// Wraps a BATCH slot's estimate the way Answer(AggregateQuery::Count)
 /// does, so QUERY and BATCH populate the cache with identical values.
 QueryResult CountResult(const QueryEstimate& est) {
   QueryResult out;
@@ -76,26 +77,24 @@ QueryResult CountResult(const QueryEstimate& est) {
   return out;
 }
 
-/// Bucket-representative weights for SUM/AVG over `attr` (the
-/// entropydb_query rule: label order index for categorical attributes,
-/// bucket midpoints for numeric ones).
-std::vector<double> AggregateWeights(const EntropyEngine& engine,
-                                     AttrId attr) {
-  const Domain& dom = engine.domains()[attr];
-  std::vector<double> weights(dom.size());
-  for (Code v = 0; v < dom.size(); ++v) {
-    weights[v] = dom.is_categorical()
-                     ? static_cast<double>(v)
-                     : dom.RepresentativeFor(v).as_double();
-  }
-  return weights;
+/// Deadlines are capped here (at ~35 years), so that a huge wire value
+/// cannot overflow steady_clock arithmetic.
+constexpr uint64_t kMaxDeadlineMs = uint64_t{1} << 40;
+
+/// When the request's answer is due: its own deadline, or `default_ms`
+/// when it carries none, from now.
+std::chrono::steady_clock::time_point RequestDeadline(const Request& req,
+                                                      uint64_t default_ms) {
+  const uint64_t ms = req.deadline_ms > 0 ? req.deadline_ms : default_ms;
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(std::min(ms, kMaxDeadlineMs));
 }
 
-/// The request's own deadline, or `default_ms` when it carries none.
-std::chrono::milliseconds RequestDeadline(const Request& req,
-                                          uint64_t default_ms) {
-  const uint64_t ms = req.deadline_ms > 0 ? req.deadline_ms : default_ms;
-  return std::chrono::milliseconds(ms);
+/// The QUERY/JOIN response for `result`, ending in the `cached` flag.
+std::string QueryResponse(const QueryResult& result, bool cached) {
+  std::vector<std::string> lines = ResultLines(result);
+  lines.push_back(cached ? "cached 1" : "cached 0");
+  return EncodeOkResponse(lines);
 }
 
 std::string JoinIds(const std::vector<uint64_t>& ids) {
@@ -126,13 +125,6 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Start(
         server->join_engine_,
         EntropyEngine::Open(options.join_path, options.summary, env));
   }
-
-  // Sessions answer through the blocking Submit/SubmitAll only, so no
-  // dispatcher thread is needed.
-  QueryBatcher::Options bopts;
-  bopts.queue_capacity = options.queue_capacity;
-  bopts.start_worker = false;
-  server->batcher_ = std::make_unique<QueryBatcher>(bopts);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -177,19 +169,16 @@ void QueryServer::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
+  // The accept thread is gone, so no session starts or is reaped now.
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    threads.swap(session_threads_);
+    for (SessionSlot& slot : sessions_) {
+      if (slot.fd >= 0) ::shutdown(slot.fd, SHUT_RDWR);
+      threads.push_back(std::move(slot.thread));
+    }
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  if (batcher_ != nullptr) batcher_->Stop();
+  for (std::thread& t : threads) t.join();
 }
 
 Result<bool> QueryServer::RefreshVersions() {
@@ -213,17 +202,33 @@ void QueryServer::AcceptLoop() {
       ::close(fd);
       return;
     }
-    std::lock_guard<std::mutex> lock(sessions_mu_);
     {
-      std::lock_guard<std::mutex> slock(stats_mu_);
+      std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.connections;
     }
-    session_fds_.push_back(fd);
-    session_threads_.emplace_back([this, fd] { SessionLoop(fd); });
+    // Join the sessions that have ended, so the server holds a thread (and
+    // its stack) per open connection, not per connection it ever accepted.
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      for (auto it = sessions_.begin(); it != sessions_.end();) {
+        if (it->fd >= 0) {
+          ++it;
+          continue;
+        }
+        finished.push_back(std::move(it->thread));
+        it = sessions_.erase(it);
+      }
+      SessionSlot& slot = sessions_.emplace_back();
+      slot.fd = fd;
+      slot.thread = std::thread([this, &slot] { SessionLoop(&slot); });
+    }
+    for (std::thread& t : finished) t.join();
   }
 }
 
-void QueryServer::SessionLoop(int fd) {
+void QueryServer::SessionLoop(SessionSlot* slot) {
+  const int fd = slot->fd;
   Session session;
   FrameDecoder decoder;
   char buf[1 << 14];
@@ -261,12 +266,11 @@ void QueryServer::SessionLoop(int fd) {
     if (n <= 0) break;  // client closed, or Stop() shut the socket down
     decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
   }
-  // Leave session_fds_ before the number is released: Stop() must never
-  // shut down a descriptor the process has since reused.
+  // Give up the slot's descriptor before the number is released: Stop()
+  // must never shut down a descriptor the process has since reused.
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    session_fds_.erase(
-        std::find(session_fds_.begin(), session_fds_.end(), fd));
+    slot->fd = -1;
   }
   ::close(fd);
 }
@@ -303,67 +307,28 @@ QueryServer::ResolveEngine(Session* session) {
   return std::make_pair(std::move(engine), id);
 }
 
+Result<std::string> QueryServer::AnswerCached(
+    const Request& req, uint64_t version, const std::string& key,
+    const std::function<Result<QueryResult>()>& answer) {
+  if (auto cached = cache_.Get(version, key); cached.has_value()) {
+    return QueryResponse(*cached, true);
+  }
+  const auto deadline = RequestDeadline(req, options_.default_deadline_ms);
+  ASSIGN_OR_RETURN(QueryResult result, gate_.Run(1, deadline, answer));
+  cache_.Put(version, key, result);
+  return QueryResponse(result, false);
+}
+
 Result<std::string> QueryServer::HandleQuery(Session* session,
                                              const Request& req) {
   ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
   const std::shared_ptr<EntropyEngine>& engine = resolved.first;
-  const uint64_t version = resolved.second;
   ASSIGN_OR_RETURN(
       ParsedQuery parsed,
       ParseQuery(req.query, engine->attr_names(), engine->domains()));
-  const std::string key = CanonicalQueryKey(parsed);
-  if (auto cached = cache_.Get(version, key); cached.has_value()) {
-    std::vector<std::string> lines = ResultLines(*cached);
-    lines.push_back("cached 1");
-    return EncodeOkResponse(lines);
-  }
-  const std::chrono::milliseconds deadline =
-      RequestDeadline(req, options_.default_deadline_ms);
-  QueryResult result;
-  switch (parsed.aggregate) {
-    case ParsedQuery::Aggregate::kCount: {
-      // COUNT passes admission and its deadline, then answers on this
-      // thread; everything else answers through the unified surface.
-      ASSIGN_OR_RETURN(QueryEstimate est,
-                       batcher_->Submit(engine, parsed.where, deadline));
-      result = CountResult(est);
-      break;
-    }
-    case ParsedQuery::Aggregate::kSum: {
-      ASSIGN_OR_RETURN(
-          result, engine->Answer(AggregateQuery::Sum(
-                      parsed.agg_attr,
-                      AggregateWeights(*engine, parsed.agg_attr),
-                      parsed.where)));
-      break;
-    }
-    case ParsedQuery::Aggregate::kAvg: {
-      ASSIGN_OR_RETURN(
-          result, engine->Answer(AggregateQuery::Avg(
-                      parsed.agg_attr,
-                      AggregateWeights(*engine, parsed.agg_attr),
-                      parsed.where)));
-      break;
-    }
-    case ParsedQuery::Aggregate::kQuantile: {
-      ASSIGN_OR_RETURN(
-          result, engine->Answer(AggregateQuery::Quantile(
-                      parsed.agg_attr,
-                      AggregateWeights(*engine, parsed.agg_attr),
-                      parsed.quantile, parsed.where)));
-      break;
-    }
-    case ParsedQuery::Aggregate::kTopK: {
-      ASSIGN_OR_RETURN(
-          result, engine->Answer(AggregateQuery::TopK(
-                      parsed.agg_attr, parsed.top_k, parsed.where)));
-      break;
-    }
-  }
-  cache_.Put(version, key, result);
-  std::vector<std::string> lines = ResultLines(result);
-  lines.push_back("cached 0");
-  return EncodeOkResponse(lines);
+  return AnswerCached(req, resolved.second, CanonicalQueryKey(parsed), [&] {
+    return engine->Answer(ToAggregateQuery(parsed, engine->domains()));
+  });
 }
 
 Result<std::string> QueryServer::HandleJoin(Session* session,
@@ -374,7 +339,6 @@ Result<std::string> QueryServer::HandleJoin(Session* session,
   }
   ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
   const std::shared_ptr<EntropyEngine>& engine = resolved.first;
-  const uint64_t version = resolved.second;
   ASSIGN_OR_RETURN(
       ParsedJoinQuery parsed,
       ParseJoinQuery(req.query, engine->attr_names(), engine->domains(),
@@ -382,25 +346,10 @@ Result<std::string> QueryServer::HandleJoin(Session* session,
   // The right-side engine is loaded once at startup and immutable, so the
   // left version alone still keys the cache correctly.
   const std::string key = CanonicalJoinQueryKey(parsed);
-  if (auto cached = cache_.Get(version, key); cached.has_value()) {
-    std::vector<std::string> lines = ResultLines(*cached);
-    lines.push_back("cached 1");
-    return EncodeOkResponse(lines);
-  }
-  AggregateQuery query =
-      parsed.aggregate == ParsedJoinQuery::Aggregate::kCount
-          ? AggregateQuery::JoinCount(parsed.left_join, parsed.right_join,
-                                      parsed.left_where, parsed.right_where)
-          : AggregateQuery::JoinSum(
-                parsed.agg_attr, AggregateWeights(*engine, parsed.agg_attr),
-                parsed.left_join, parsed.right_join, parsed.left_where,
-                parsed.right_where);
-  ASSIGN_OR_RETURN(QueryResult result,
-                   engine->AnswerJoin(query, *join_engine_));
-  cache_.Put(version, key, result);
-  std::vector<std::string> lines = ResultLines(result);
-  lines.push_back("cached 0");
-  return EncodeOkResponse(lines);
+  return AnswerCached(req, resolved.second, key, [&] {
+    const AggregateQuery query = ToAggregateQuery(parsed, engine->domains());
+    return engine->AnswerJoin(query, *join_engine_);
+  });
 }
 
 Result<std::string> QueryServer::HandleBatch(Session* session,
@@ -426,12 +375,14 @@ Result<std::string> QueryServer::HandleBatch(Session* session,
     cached[i] = cache_.Get(version, keys[i]);
     if (!cached[i].has_value()) misses.push_back(std::move(parsed.where));
   }
-  // The misses are admitted together and answered by one AnswerAll on
-  // this thread, which spreads them over the thread pool.
-  const std::chrono::milliseconds deadline =
-      RequestDeadline(req, options_.default_deadline_ms);
-  ASSIGN_OR_RETURN(std::vector<QueryEstimate> answers,
-                   batcher_->SubmitAll(engine, misses, deadline));
+  // The misses pass the gate together and are answered by one AnswerAll
+  // on this thread, which spreads them over the thread pool.
+  std::vector<QueryEstimate> answers;
+  if (!misses.empty()) {
+    const auto deadline = RequestDeadline(req, options_.default_deadline_ms);
+    const auto answer_all = [&] { return engine->AnswerAll(misses); };
+    ASSIGN_OR_RETURN(answers, gate_.Run(misses.size(), deadline, answer_all));
+  }
   std::vector<std::string> lines;
   lines.reserve(keys.size());
   size_t next = 0;
@@ -473,7 +424,7 @@ Result<std::string> QueryServer::HandleStats(Session* session) {
   ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
   const EngineStats engine = resolved.first->stats();
   const ResultCache::Stats cache = cache_.stats();
-  const QueryBatcher::Stats batcher = batcher_->stats();
+  const QueryBatcher::Stats gate = gate_.stats();
   const Stats server = stats();
   std::vector<std::string> lines;
   lines.push_back("version " +
@@ -489,9 +440,9 @@ Result<std::string> QueryServer::HandleStats(Session* session) {
   lines.push_back("cache_hits " + std::to_string(cache.hits));
   lines.push_back("cache_misses " + std::to_string(cache.misses));
   lines.push_back("cache_entries " + std::to_string(cache.entries));
-  lines.push_back("admitted " + std::to_string(batcher.accepted));
-  lines.push_back("rejected " + std::to_string(batcher.rejected));
-  lines.push_back("expired " + std::to_string(batcher.expired));
+  lines.push_back("admitted " + std::to_string(gate.accepted));
+  lines.push_back("rejected " + std::to_string(gate.rejected));
+  lines.push_back("expired " + std::to_string(gate.expired));
   lines.push_back("connections " + std::to_string(server.connections));
   lines.push_back("requests " + std::to_string(server.requests));
   return EncodeOkResponse(lines);

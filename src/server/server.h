@@ -3,11 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/env.h"
 #include "common/result.h"
@@ -31,19 +32,19 @@ namespace entropydb {
 /// while v(n+1) goes live. A plain store directory or summary file is
 /// served too, just without version commands.
 ///
-/// Request flow per session (one thread per connection; sessions are
-/// independent): frame decode -> ParseRequest -> result cache probe
-/// (keyed on (version, canonical query) — immutable versions make hits
-/// trivially correct) -> answer on the session thread -> framed response
+/// Request flow per session (one thread per open connection; sessions are
+/// independent, and the accept loop joins the ones that ended): frame
+/// decode -> ParseRequest -> result cache probe (keyed on (version,
+/// canonical query) — immutable versions make hits trivially correct) ->
+/// admission gate -> answer on the session thread -> framed response
 /// rendered from the QueryResult (so a cache hit is byte-identical to the
-/// miss that populated it). A QUERY COUNT passes the shared QueryBatcher's
-/// admission and deadline and answers with the engine's sequential shard
-/// fan-out; a BATCH frame's misses are admitted together and answered by
-/// one AnswerAll over the thread pool, the multi-core path; every other
-/// aggregate kind answers directly through the engine's unified
-/// Answer(AggregateQuery) surface. Overload returns typed
-/// SERVER_BUSY/DEADLINE_EXCEEDED errors (see server/batcher.h) instead of
-/// queuing without bound.
+/// miss that populated it). Every miss passes the one admission gate
+/// (server/batcher.h), which bounds the queries in flight and enforces
+/// the request's deadline: a QUERY of any kind answers with one
+/// Answer(AggregateQuery), a JOIN with one AnswerJoin, and a BATCH
+/// frame's misses together with one AnswerAll over the thread pool, the
+/// multi-core path. Overload returns typed SERVER_BUSY/DEADLINE_EXCEEDED
+/// errors instead of queuing without bound.
 ///
 /// When Options::join_path names a second store, the JOIN command fuses
 /// the served (LEFT) engine with that static right-side engine
@@ -59,7 +60,7 @@ class QueryServer {
     std::string path;
     /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
     uint16_t port = 0;
-    /// Admission bound for COUNT queries in flight
+    /// Admission bound on queries in flight, of every kind
     /// (QueryBatcher::Options::queue_capacity).
     size_t queue_capacity = 256;
     /// Result cache entries (0 disables caching).
@@ -74,7 +75,7 @@ class QueryServer {
   };
 
   /// Server-level monotonic counters (the STATS command also merges
-  /// engine, batcher, and cache counters).
+  /// engine, admission, and cache counters).
   struct Stats {
     uint64_t connections = 0;
     uint64_t requests = 0;
@@ -90,9 +91,9 @@ class QueryServer {
   /// The bound port (the ephemeral one when Options::port was 0).
   uint16_t port() const { return port_; }
 
-  /// Stops accepting, closes every session, joins all threads (a session
-  /// finishes the answer it is computing first), then stops the batcher.
-  /// Idempotent; the destructor calls it.
+  /// Stops accepting, closes every session, and joins all threads (a
+  /// session finishes the answer it is computing first). Idempotent; the
+  /// destructor calls it.
   void Stop();
 
   /// Re-reads the root's CURRENT pointer (no-op for unversioned paths).
@@ -104,7 +105,10 @@ class QueryServer {
 
  private:
   explicit QueryServer(const Options& options, Env* env)
-      : options_(options), env_(env), cache_(options.cache_capacity) {}
+      : options_(options),
+        env_(env),
+        gate_(QueryBatcher::Options{options.queue_capacity}),
+        cache_(options.cache_capacity) {}
 
   /// Per-session pin state.
   struct Session {
@@ -113,8 +117,17 @@ class QueryServer {
     uint64_t pinned_version = 0;
   };
 
+  /// One accepted connection. Its session sets `fd` to -1 under
+  /// sessions_mu_ just before closing the socket, which also marks the
+  /// thread finished: the accept loop joins finished threads as new
+  /// connections arrive, and Stop() joins the rest.
+  struct SessionSlot {
+    int fd = -1;
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void SessionLoop(int fd);
+  void SessionLoop(SessionSlot* slot);
   /// Maps a request to a full response payload; an error Status becomes
   /// an ERR response in the caller.
   Result<std::string> HandleRequest(Session* session, const Request& req);
@@ -122,6 +135,12 @@ class QueryServer {
   /// (0 when unversioned).
   Result<std::pair<std::shared_ptr<EntropyEngine>, uint64_t>> ResolveEngine(
       Session* session);
+  /// The QUERY/JOIN response for the query cached under (version, key):
+  /// the cached result, or `answer()` through the admission gate and
+  /// cached when it succeeds.
+  Result<std::string> AnswerCached(
+      const Request& req, uint64_t version, const std::string& key,
+      const std::function<Result<QueryResult>()>& answer);
   Result<std::string> HandleQuery(Session* session, const Request& req);
   Result<std::string> HandleJoin(Session* session, const Request& req);
   Result<std::string> HandleBatch(Session* session, const Request& req);
@@ -138,7 +157,7 @@ class QueryServer {
   /// Right-side JOIN relation; null unless Options::join_path was set.
   std::shared_ptr<EntropyEngine> join_engine_;
 
-  std::unique_ptr<QueryBatcher> batcher_;
+  QueryBatcher gate_;
   ResultCache cache_;
 
   int listen_fd_ = -1;
@@ -147,9 +166,9 @@ class QueryServer {
   std::atomic<bool> stopping_{false};
 
   std::mutex sessions_mu_;
-  std::vector<std::thread> session_threads_;
-  /// Open session sockets; each session erases its own before closing it.
-  std::vector<int> session_fds_;
+  /// Every session not yet joined. List nodes never move, so a session
+  /// keeps a pointer to its own slot.
+  std::list<SessionSlot> sessions_;
 
   mutable std::mutex stats_mu_;
   Stats stats_;

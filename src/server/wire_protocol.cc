@@ -1,5 +1,6 @@
 #include "server/wire_protocol.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -31,13 +32,17 @@ std::vector<std::string> SplitLines(const std::string& payload) {
   return lines;
 }
 
-/// Parses a base-10 uint64; rejects empty, sign, and trailing junk.
+/// Parses a base-10 uint64; rejects empty, sign, trailing junk, and
+/// values past UINT64_MAX (which would otherwise wrap, e.g. 2^64 + 1 to
+/// version 1).
 bool ParseU64(const std::string& text, uint64_t* out) {
   if (text.empty()) return false;
   uint64_t value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
   }
   *out = value;
   return true;

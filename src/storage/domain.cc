@@ -43,12 +43,12 @@ Result<Code> Domain::Encode(const Value& v) const {
 }
 
 Code Domain::BucketOf(double v) const {
-  if (v <= lo_) return 0;
-  double raw = (v - lo_) / width_;
-  auto idx = static_cast<int64_t>(std::floor(raw));
-  if (idx >= buckets_) idx = buckets_ - 1;
-  if (idx < 0) idx = 0;
-  return static_cast<Code>(idx);
+  if (!(v > lo_) || buckets_ == 0) return 0;  // NaN lands here too
+  const double raw = std::floor((v - lo_) / width_);
+  const Code last = buckets_ - 1;
+  // Clamped as a double: a value far past the top (or +inf) must not
+  // overflow the integer cast.
+  return raw < last ? static_cast<Code>(raw) : last;
 }
 
 std::pair<Code, Code> Domain::BucketRange(double lo, double hi) const {

@@ -50,7 +50,8 @@ class Domain {
   /// Representative (midpoint / label) raw value for a bucket.
   Value RepresentativeFor(Code code) const;
 
-  /// For binned domains: the bucket covering `v` without clamping check.
+  /// For binned domains: the bucket covering `v`, clamped to the first
+  /// and last bucket (NaN maps to the first).
   Code BucketOf(double v) const;
 
   /// For binned domains: inclusive code range covering [lo, hi]; empty

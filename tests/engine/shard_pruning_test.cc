@@ -148,7 +148,9 @@ TEST(ShardPruningTest, AttributePointQueryPrunesAllButTheOwnerShard) {
   ASSERT_EQ(decs.size(), 4u);
   for (size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(decs[s].pruned, s != 2u) << "shard " << s;
-    if (decs[s].pruned) EXPECT_EQ(decs[s].pruned_attr, 0u);
+    if (decs[s].pruned) {
+      EXPECT_EQ(decs[s].pruned_attr, 0u);
+    }
   }
   // The merge reduces to the owner shard alone — bitwise.
   auto owner = (*sharded)->shard_engine(2).Answer(q);

@@ -183,6 +183,62 @@ TEST(ParserTest, QuantileAndTopKValidateTheirParameters) {
                   .IsNotFound());
 }
 
+/// Parses `text` against the fixture schema.
+Result<ParsedQuery> Parse(const std::string& text) {
+  return ParseQuery(text, Names(), Domains());
+}
+
+TEST(ParserTest, ExtremeNumbersClampOrFailTyped) {
+  // Values past a binned domain clamp to its edge buckets, however large;
+  // an unrepresentable literal is OutOfRange, and a TOPK count too large
+  // to be exact is refused rather than cast.
+  auto huge = Parse("COUNT(*) WHERE distance = 1e300");
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  EXPECT_EQ(huge->where.predicate(1), AttrPredicate::Point(9));
+  auto all = Parse("COUNT(*) WHERE distance BETWEEN -inf AND inf");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->where.predicate(1), AttrPredicate::Range(0, 9));
+  EXPECT_TRUE(Parse("COUNT(*) WHERE distance = 1e999").status().IsOutOfRange());
+  for (const char* k : {"1e300", "inf", "nan", "9007199254740994"}) {
+    const Status st = Parse(std::string("TOPK(origin, ") + k + ")").status();
+    EXPECT_EQ(st.message(), "TOPK count must be a positive integer") << k;
+  }
+  auto widest = Parse("TOPK(origin, 9007199254740992)");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->top_k, 9007199254740992u);
+}
+
+TEST(ParserTest, ToAggregateQueryBuildsEveryKind) {
+  // One conversion for every caller: SUM, AVG and QUANTILE carry the
+  // aggregated attribute's BucketWeights, TOPK its k, and every kind the
+  // parsed filter.
+  const std::vector<Domain> domains = Domains();
+  auto expect = [&](const char* text, AggregateKind kind, bool weighted) {
+    auto parsed = Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    const AggregateQuery q = ToAggregateQuery(*parsed, domains);
+    EXPECT_EQ(q.kind, kind) << text;
+    EXPECT_EQ(q.where, parsed->where) << text;
+    std::vector<double> weights;
+    if (weighted) weights = BucketWeights(domains[parsed->agg_attr]);
+    EXPECT_EQ(q.weights, weights) << text;
+    if (kind != AggregateKind::kCount) {
+      EXPECT_EQ(q.agg_attr, parsed->agg_attr) << text;
+    }
+  };
+  expect("COUNT(*) WHERE origin = NY", AggregateKind::kCount, false);
+  expect("SUM(fl_time) WHERE origin = NY", AggregateKind::kSum, true);
+  expect("AVG(origin) WHERE fl_time = 25", AggregateKind::kAvg, true);
+  expect("QUANTILE(distance, 0.9)", AggregateKind::kQuantile, true);
+  expect("TOPK(origin, 2) WHERE distance = 35", AggregateKind::kTopK, false);
+  auto quantile = Parse("QUANTILE(distance, 0.9)");
+  ASSERT_TRUE(quantile.ok());
+  EXPECT_EQ(ToAggregateQuery(*quantile, domains).q, 0.9);
+  auto topk = Parse("TOPK(origin, 2)");
+  ASSERT_TRUE(topk.ok());
+  EXPECT_EQ(ToAggregateQuery(*topk, domains).k, 2u);
+}
+
 // --- ParseJoinQuery ----------------------------------------------------
 
 /// RIGHT schema for join parses: shares `origin`, adds its own column.
@@ -223,6 +279,28 @@ TEST(JoinParserTest, SumAttrAcceptsOptionalLeftQualifier) {
   auto q = ParseJoin("SUM(left.distance) ON origin");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ(q->agg_attr, 1u);  // same as the unqualified SUM(distance)
+}
+
+TEST(JoinParserTest, ToAggregateQueryBuildsBothJoinKinds) {
+  auto count = ParseJoin(
+      "COUNT(*) ON origin WHERE left.distance = 35 AND right.delay = 5");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  const AggregateQuery c = ToAggregateQuery(*count, Domains());
+  EXPECT_EQ(c.kind, AggregateKind::kJoinCount);
+  EXPECT_EQ(c.join_attr, count->left_join);
+  EXPECT_EQ(c.right_join_attr, count->right_join);
+  EXPECT_EQ(c.where, count->left_where);
+  EXPECT_EQ(c.right_where, count->right_where);
+  EXPECT_TRUE(c.weights.empty());
+
+  // JOIN_SUM weighs the LEFT-side attribute by its BucketWeights.
+  auto sum = ParseJoin("SUM(distance) ON origin WHERE right.delay = 5");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  const AggregateQuery s = ToAggregateQuery(*sum, Domains());
+  EXPECT_EQ(s.kind, AggregateKind::kJoinSum);
+  EXPECT_EQ(s.agg_attr, 1u);
+  EXPECT_EQ(s.weights, BucketWeights(Domains()[1]));
+  EXPECT_EQ(s.right_where, sum->right_where);
 }
 
 TEST(JoinParserTest, ErrorsAreInformative) {

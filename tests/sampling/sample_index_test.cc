@@ -53,7 +53,9 @@ TEST(SampleIndexTest, BuildGroupsEveryRowAscendingByCode) {
     for (Code c = 0; c < table->domain(a).size(); ++c) {
       for (uint32_t i = idx.offsets[c]; i < idx.offsets[c + 1]; ++i) {
         EXPECT_EQ(table->at(idx.perm[i], a), c);
-        if (i > idx.offsets[c]) EXPECT_LT(idx.perm[i - 1], idx.perm[i]);
+        if (i > idx.offsets[c]) {
+          EXPECT_LT(idx.perm[i - 1], idx.perm[i]);
+        }
       }
     }
   }

@@ -1,9 +1,8 @@
-// Query batcher (server/batcher.h): bounded admission returns typed
-// SERVER_BUSY instead of hanging, deadlines expire queued work and late
-// inline answers, one dispatch never mixes engines (= versions), one bad
-// query fails only itself, and inline and batched answers match the
-// serial path. Built with start_worker = false so each test steps the
-// dispatcher deterministically, except where a test needs the worker.
+// Admission gate (server/batcher.h): a full gate refuses with a typed
+// kResourceExhausted before any answer work, a call admits all of its
+// queries or none, an OK answer that finishes past its deadline becomes
+// kDeadlineExceeded while errors pass through, every slot comes back, and
+// answers through the gate are bitwise the engine's own.
 
 #include "server/batcher.h"
 
@@ -27,11 +26,9 @@ std::shared_ptr<const EntropyEngine> SmallEngine(uint64_t seed) {
   return EntropyEngine::FromSummary(*summary);
 }
 
-QueryBatcher::Options ManualOptions(size_t capacity) {
+QueryBatcher::Options Capacity(size_t capacity) {
   QueryBatcher::Options opts;
   opts.queue_capacity = capacity;
-  opts.max_batch = 64;
-  opts.start_worker = false;
   return opts;
 }
 
@@ -39,137 +36,125 @@ steady_clock::time_point FarDeadline() {
   return steady_clock::now() + milliseconds(60000);
 }
 
+Result<int> Seven() { return 7; }
+
 TEST(QueryBatcherTest, FullQueueRejectsWithResourceExhausted) {
-  auto engine = SmallEngine(11);
-  QueryBatcher batcher(ManualOptions(2));
-  CountingQuery q(3);
-  auto a = batcher.SubmitAsync(engine, q, FarDeadline());
-  auto b = batcher.SubmitAsync(engine, q, FarDeadline());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // Third submit against capacity 2: typed rejection, immediately — the
-  // wire layer turns this into SERVER_BUSY, never an unbounded queue.
-  auto c = batcher.SubmitAsync(engine, q, FarDeadline());
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(batcher.stats().accepted, 2u);
-  EXPECT_EQ(batcher.stats().rejected, 1u);
+  QueryBatcher gate(Capacity(2));
+  // While an answer holds both slots, the next call is refused at once and
+  // its answer never runs — the wire layer turns this into SERVER_BUSY,
+  // never a wait.
+  bool inner_ran = false;
+  auto outer = gate.Run(2, FarDeadline(), [&]() -> Result<int> {
+    auto inner = gate.Run(1, FarDeadline(), [&]() -> Result<int> {
+      inner_ran = true;
+      return 1;
+    });
+    EXPECT_FALSE(inner.ok());
+    EXPECT_EQ(inner.status().code(), StatusCode::kResourceExhausted);
+    return 7;
+  });
+  ASSERT_TRUE(outer.ok()) << outer.status().ToString();
+  EXPECT_EQ(*outer, 7);
+  EXPECT_FALSE(inner_ran);
+  EXPECT_EQ(gate.stats().accepted, 2u);
+  EXPECT_EQ(gate.stats().rejected, 1u);
 
-  // Draining frees capacity again.
-  EXPECT_EQ(batcher.DrainOnce(), 2u);
-  auto d = batcher.SubmitAsync(engine, q, FarDeadline());
-  EXPECT_TRUE(d.ok());
+  // The answer returned its slots.
+  EXPECT_TRUE(gate.Run(2, FarDeadline(), Seven).ok());
 }
 
-TEST(QueryBatcherTest, BatchedAnswersMatchSerialAnswers) {
-  auto engine = SmallEngine(13);
-  QueryBatcher batcher(ManualOptions(16));
-  std::vector<CountingQuery> queries;
-  for (Code c = 0; c < 4; ++c) {
-    CountingQuery q(3);
-    q.Where(0, AttrPredicate::Point(c));
-    queries.push_back(q);
-  }
-  std::vector<std::future<Result<QueryEstimate>>> futures;
-  for (const auto& q : queries) {
-    auto f = batcher.SubmitAsync(engine, q, FarDeadline());
-    ASSERT_TRUE(f.ok());
-    futures.push_back(std::move(*f));
-  }
-  EXPECT_EQ(batcher.DrainOnce(), 4u);
-  EXPECT_EQ(batcher.stats().batches, 1u);  // one AnswerAll for all four
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto batched = futures[i].get();
-    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    auto serial = engine->Answer(queries[i]);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(batched->expectation, serial->expectation);
-    EXPECT_EQ(batched->variance, serial->variance);
-  }
-}
-
-TEST(QueryBatcherTest, OneDispatchNeverMixesEngines) {
-  // Two engines stand in for two pinned versions: answers must come from
-  // the engine the query was submitted against, so a batch takes only the
-  // front-run of queries sharing the front's engine.
-  auto v1 = SmallEngine(17);
-  auto v2 = SmallEngine(19);
-  QueryBatcher batcher(ManualOptions(16));
+TEST(QueryBatcherTest, RunAdmitsTheWholeCallOrNothing) {
+  auto engine = SmallEngine(47);
+  QueryBatcher gate(Capacity(4));
   CountingQuery q(3);
-  auto a = batcher.SubmitAsync(v1, q, FarDeadline());
-  auto b = batcher.SubmitAsync(v2, q, FarDeadline());
-  auto c = batcher.SubmitAsync(v1, q, FarDeadline());
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  const std::vector<CountingQuery> five(5, q);
+  const auto answer_five = [&] { return engine->AnswerAll(five); };
+  // One query more than the bound: refused whole, before any answer work
+  // (the engine runs no AnswerAll), and counted as one rejection.
+  auto over = gate.Run(5, FarDeadline(), answer_five);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(gate.stats().rejected, 1u);
+  EXPECT_EQ(gate.stats().accepted, 0u);
+  EXPECT_EQ(engine->stats().batches, 0u);
 
-  // First drain: both v1 queries (the interleaved v2 one keeps its turn).
-  EXPECT_EQ(batcher.DrainOnce(), 2u);
-  EXPECT_TRUE(a->get().ok());
-  EXPECT_TRUE(c->get().ok());
-  EXPECT_EQ(b->wait_for(milliseconds(0)), std::future_status::timeout);
-  // Second drain answers the v2 query.
-  EXPECT_EQ(batcher.DrainOnce(), 1u);
-  EXPECT_TRUE(b->get().ok());
-  EXPECT_EQ(batcher.stats().batches, 2u);
-}
-
-TEST(QueryBatcherTest, ExpiredQueriesFailWithDeadlineExceeded) {
-  auto engine = SmallEngine(23);
-  QueryBatcher batcher(ManualOptions(16));
-  CountingQuery q(3);
-  auto expired =
-      batcher.SubmitAsync(engine, q, steady_clock::now() - milliseconds(1));
-  auto live = batcher.SubmitAsync(engine, q, FarDeadline());
-  ASSERT_TRUE(expired.ok());
-  ASSERT_TRUE(live.ok());
-  EXPECT_EQ(batcher.DrainOnce(), 2u);
-  auto r = expired->get();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(live->get().ok());
-  EXPECT_EQ(batcher.stats().expired, 1u);
+  // A query in flight holds its slot: beside it, a full-width call no
+  // longer fits, and it fits again once that query is answered.
+  const std::vector<CountingQuery> four(4, q);
+  const auto answer_four = [&] { return engine->AnswerAll(four); };
+  auto held = gate.Run(1, FarDeadline(), [&] {
+    auto blocked = gate.Run(4, FarDeadline(), answer_four);
+    EXPECT_EQ(blocked.status().code(), StatusCode::kResourceExhausted);
+    return engine->Answer(q);
+  });
+  EXPECT_TRUE(held.ok()) << held.status().ToString();
+  auto fits = gate.Run(4, FarDeadline(), answer_four);
+  EXPECT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(engine->stats().batches, 1u);
 }
 
 TEST(QueryBatcherTest, SubmitGivesUpAtItsDeadline) {
-  // A blocking call never returns OK past its deadline: with 0 ms the
-  // inline answer always finishes late, so it is kDeadlineExceeded and
-  // counts as expired (a frame once, however many queries it carries).
+  // A call never returns OK past its deadline: with 0 ms the answer always
+  // finishes late, so it is kDeadlineExceeded and counts as expired (a
+  // call once, however many queries it carries).
   auto engine = SmallEngine(29);
-  QueryBatcher batcher(ManualOptions(16));
+  QueryBatcher gate(Capacity(16));
   CountingQuery q(3);
-  auto r = batcher.Submit(engine, q, milliseconds(0));
+  auto r = gate.Submit(engine, q, milliseconds(0));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(batcher.stats().expired, 1u);
-  auto all = batcher.SubmitAll(engine, {q, q}, milliseconds(0));
+  EXPECT_EQ(gate.stats().expired, 1u);
+  const std::vector<CountingQuery> two(2, q);
+  const auto answer_two = [&] { return engine->AnswerAll(two); };
+  auto all = gate.Run(2, steady_clock::now(), answer_two);
   ASSERT_FALSE(all.ok());
   EXPECT_EQ(all.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(batcher.stats().expired, 2u);
+  EXPECT_EQ(gate.stats().expired, 2u);
   // Late answers still free their admission slots.
-  auto full = batcher.SubmitAll(engine, std::vector<CountingQuery>(16, q),
-                                milliseconds(60000));
+  const std::vector<CountingQuery> sixteen(16, q);
+  const auto answer_sixteen = [&] { return engine->AnswerAll(sixteen); };
+  auto full = gate.Run(16, FarDeadline(), answer_sixteen);
   EXPECT_TRUE(full.ok()) << full.status().ToString();
 }
 
-TEST(QueryBatcherTest, SubmitAnswersInlineWithoutAWorker) {
-  // Nobody drains the queue, yet Submit answers: it runs Answer on the
-  // calling thread, bitwise the engine's own estimate.
-  auto engine = SmallEngine(41);
-  QueryBatcher batcher(ManualOptions(16));
-  CountingQuery q(3);
-  q.Where(0, AttrPredicate::Point(2));
-  auto r = batcher.Submit(engine, q, milliseconds(60000));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  auto serial = engine->Answer(q);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(r->expectation, serial->expectation);
-  EXPECT_EQ(r->variance, serial->variance);
-  EXPECT_EQ(batcher.stats().accepted, 1u);
-  EXPECT_EQ(batcher.stats().batches, 0u);
+TEST(QueryBatcherTest, FailedAnswersPassThroughAndNeverExpire) {
+  // Only an OK answer can be late: an answer's own error reaches the
+  // caller unchanged even past the deadline, and frees its slot.
+  auto engine = SmallEngine(53);
+  QueryBatcher gate(Capacity(1));
+  const AggregateQuery wrong_arity = AggregateQuery::Count(CountingQuery(2));
+  const auto answer = [&] { return engine->Answer(wrong_arity); };
+  auto r = gate.Run(1, steady_clock::now(), answer);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gate.stats().expired, 0u);
+  EXPECT_TRUE(gate.Run(1, FarDeadline(), Seven).ok());
 }
 
-TEST(QueryBatcherTest, SubmitAllMatchesAnswerAll) {
+TEST(QueryBatcherTest, AnswersThroughTheGateAreTheEngines) {
+  // Run hands back exactly what its answer returned: every aggregate kind
+  // and a whole AnswerAll frame, bit for bit.
   auto engine = SmallEngine(43);
-  QueryBatcher batcher(ManualOptions(16));
+  QueryBatcher gate(Capacity(16));
+  CountingQuery where(3);
+  where.Where(1, AttrPredicate::Range(1, 2));
+  const std::vector<double> weights = {0.5, 1.5, 2.5};
+  auto expect_engines = [&](const AggregateQuery& q) {
+    auto got = gate.Run(1, FarDeadline(), [&] { return engine->Answer(q); });
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = engine->Answer(q);
+    ASSERT_TRUE(want.ok());
+    const char* kind = AggregateKindName(q.kind);
+    EXPECT_EQ(got->estimate.expectation, want->estimate.expectation) << kind;
+    EXPECT_EQ(got->estimate.variance, want->estimate.variance) << kind;
+    EXPECT_EQ(got->cells.size(), want->cells.size()) << kind;
+  };
+  expect_engines(AggregateQuery::Count(where));
+  expect_engines(AggregateQuery::Sum(2, weights, where));
+  expect_engines(AggregateQuery::Avg(2, weights, where));
+  expect_engines(AggregateQuery::Quantile(2, weights, 0.5, where));
+  expect_engines(AggregateQuery::TopK(2, 2, where));
+
   std::vector<CountingQuery> queries;
   for (Code c = 0; c < 4; ++c) {
     CountingQuery q(3);
@@ -177,121 +162,55 @@ TEST(QueryBatcherTest, SubmitAllMatchesAnswerAll) {
     if (c % 2 == 1) q.Where(2, AttrPredicate::Point(c % 3));
     queries.push_back(q);
   }
-  auto inline_all = batcher.SubmitAll(engine, queries, milliseconds(60000));
-  ASSERT_TRUE(inline_all.ok()) << inline_all.status().ToString();
+  const auto answer_all = [&] { return engine->AnswerAll(queries); };
+  auto gated_all = gate.Run(queries.size(), FarDeadline(), answer_all);
+  ASSERT_TRUE(gated_all.ok()) << gated_all.status().ToString();
   auto direct = engine->AnswerAll(queries);
   ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(inline_all->size(), queries.size());
+  ASSERT_EQ(gated_all->size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ((*inline_all)[i].expectation, (*direct)[i].expectation) << i;
-    EXPECT_EQ((*inline_all)[i].variance, (*direct)[i].variance) << i;
+    EXPECT_EQ((*gated_all)[i].expectation, (*direct)[i].expectation) << i;
+    EXPECT_EQ((*gated_all)[i].variance, (*direct)[i].variance) << i;
   }
-  EXPECT_EQ(batcher.stats().accepted, queries.size());
+  EXPECT_EQ(gate.stats().accepted, 5 + queries.size());
 }
 
-TEST(QueryBatcherTest, SubmitAllAdmitsTheWholeFrameOrNothing) {
-  auto engine = SmallEngine(47);
-  QueryBatcher batcher(ManualOptions(4));
+TEST(QueryBatcherTest, SubmitAndSubmitAsyncAnswerOnTheCallingThread) {
+  // Submit is the engine's own COUNT; SubmitAsync's future is ready when
+  // it returns, and a full gate is its outer error.
+  auto engine = SmallEngine(41);
+  QueryBatcher gate(Capacity(16));
   CountingQuery q(3);
-  // One query more than the bound: refused whole, before any answer work
-  // (the engine runs no AnswerAll), and counted as one rejection.
-  auto over = batcher.SubmitAll(engine, std::vector<CountingQuery>(5, q),
-                                milliseconds(60000));
-  ASSERT_FALSE(over.ok());
-  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(batcher.stats().rejected, 1u);
-  EXPECT_EQ(batcher.stats().accepted, 0u);
-  EXPECT_EQ(engine->stats().batches, 0u);
-
-  // Queued entries hold slots too: with one queued, a full-width frame no
-  // longer fits until a dispatch answers it.
-  auto queued = batcher.SubmitAsync(engine, q, FarDeadline());
-  ASSERT_TRUE(queued.ok());
-  auto blocked = batcher.SubmitAll(engine, std::vector<CountingQuery>(4, q),
-                                   milliseconds(60000));
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(batcher.DrainOnce(), 1u);
-  EXPECT_TRUE(queued->get().ok());
-  auto fits = batcher.SubmitAll(engine, std::vector<CountingQuery>(4, q),
-                                milliseconds(60000));
-  EXPECT_TRUE(fits.ok()) << fits.status().ToString();
-}
-
-TEST(QueryBatcherTest, PoisonQueryFailsOnlyItself) {
-  // The middle query has the wrong arity, which fails AnswerAll as a
-  // whole; its neighbours in the same dispatch still get their answers,
-  // bitwise the serial ones.
-  auto engine = SmallEngine(53);
-  QueryBatcher batcher(ManualOptions(16));
-  CountingQuery first(3);
-  first.Where(0, AttrPredicate::Point(1));
-  CountingQuery last(3);
-  last.Where(2, AttrPredicate::Point(2));
-  auto a = batcher.SubmitAsync(engine, first, FarDeadline());
-  auto bad = batcher.SubmitAsync(engine, CountingQuery(2), FarDeadline());
-  auto c = batcher.SubmitAsync(engine, last, FarDeadline());
-  ASSERT_TRUE(a.ok() && bad.ok() && c.ok());
-  EXPECT_EQ(batcher.DrainOnce(), 3u);
-
-  auto poisoned = bad->get();
-  ASSERT_FALSE(poisoned.ok());
-  EXPECT_EQ(poisoned.status().code(), StatusCode::kInvalidArgument);
-  auto expect_serial = [&](std::future<Result<QueryEstimate>>& f,
-                           const CountingQuery& q) {
-    auto got = f.get();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    auto serial = engine->Answer(q);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(got->expectation, serial->expectation);
-    EXPECT_EQ(got->variance, serial->variance);
-  };
-  expect_serial(*a, first);
-  expect_serial(*c, last);
-}
-
-TEST(QueryBatcherTest, StopFailsEverythingQueued) {
-  auto engine = SmallEngine(31);
-  QueryBatcher batcher(ManualOptions(16));
-  CountingQuery q(3);
-  auto f = batcher.SubmitAsync(engine, q, FarDeadline());
-  ASSERT_TRUE(f.ok());
-  batcher.Stop();
-  auto r = f->get();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  // After Stop, new submissions are refused.
-  auto after = batcher.SubmitAsync(engine, q, FarDeadline());
-  EXPECT_FALSE(after.ok());
-}
-
-TEST(QueryBatcherTest, WorkerThreadDrainsWithoutManualPumping) {
-  auto engine = SmallEngine(37);
-  QueryBatcher::Options opts;
-  opts.queue_capacity = 16;
-  opts.start_worker = true;
-  QueryBatcher batcher(opts);
-  CountingQuery q(3);
-  q.Where(1, AttrPredicate::Point(1));
-  auto f = batcher.SubmitAsync(engine, q, FarDeadline());
-  ASSERT_TRUE(f.ok()) << f.status().ToString();
-  auto r = f->get();
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  q.Where(0, AttrPredicate::Point(2));
   auto serial = engine->Answer(q);
   ASSERT_TRUE(serial.ok());
+  auto r = gate.Submit(engine, q, milliseconds(60000));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->expectation, serial->expectation);
+  EXPECT_EQ(r->variance, serial->variance);
+
+  auto f = gate.SubmitAsync(engine, q, FarDeadline());
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_EQ(f->wait_for(milliseconds(0)), std::future_status::ready);
+  auto got = f->get();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->expectation, serial->expectation);
+  EXPECT_EQ(got->variance, serial->variance);
+  EXPECT_EQ(gate.stats().accepted, 2u);
+
+  QueryBatcher closed(Capacity(0));
+  auto refused = closed.SubmitAsync(engine, q, FarDeadline());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(QueryBatcherTest, ConcurrentInlineAndQueuedSubmitsMatchSerial) {
-  // Inline Submit/SubmitAll and queued SubmitAsync share one admission
-  // count while the worker drains: every answer is the serial one, bit
-  // for bit, and every slot comes back once the answers are in.
+TEST(QueryBatcherTest, ConcurrentCallsMatchSerialAndReturnEverySlot) {
+  // Single queries, frames and SubmitAsync calls share one admission count
+  // from several threads: every answer is the serial one, bit for bit, and
+  // every slot comes back once the answers are in.
   auto engine = SmallEngine(59);
   constexpr size_t kCapacity = 32;
-  QueryBatcher::Options opts;
-  opts.queue_capacity = kCapacity;
-  opts.start_worker = true;
-  QueryBatcher batcher(opts);
+  QueryBatcher gate(Capacity(kCapacity));
   std::vector<CountingQuery> queries;
   std::vector<QueryEstimate> serial;
   for (Code a = 0; a < 4; ++a) {
@@ -321,7 +240,7 @@ TEST(QueryBatcherTest, ConcurrentInlineAndQueuedSubmitsMatchSerial) {
         const size_t i = (t * kRounds + r) % n;
         switch ((t + r) % 3) {
           case 0: {
-            auto one = batcher.Submit(engine, queries[i], milliseconds(60000));
+            auto one = gate.Submit(engine, queries[i], milliseconds(60000));
             if (!same(one, i)) ++mismatches[t];
             break;
           }
@@ -329,14 +248,15 @@ TEST(QueryBatcherTest, ConcurrentInlineAndQueuedSubmitsMatchSerial) {
             const size_t slots[] = {i, (i + 1) % n, (i + 5) % n};
             std::vector<CountingQuery> frame;
             for (size_t k : slots) frame.push_back(queries[k]);
-            auto all = batcher.SubmitAll(engine, frame, milliseconds(60000));
+            const auto answer = [&] { return engine->AnswerAll(frame); };
+            auto all = gate.Run(frame.size(), FarDeadline(), answer);
             for (size_t k = 0; k < 3; ++k) {
               if (!all.ok() || !same((*all)[k], slots[k])) ++mismatches[t];
             }
             break;
           }
           default: {
-            auto f = batcher.SubmitAsync(engine, queries[i], FarDeadline());
+            auto f = gate.SubmitAsync(engine, queries[i], FarDeadline());
             if (!f.ok() || !same(f->get(), i)) ++mismatches[t];
             break;
           }
@@ -348,12 +268,9 @@ TEST(QueryBatcherTest, ConcurrentInlineAndQueuedSubmitsMatchSerial) {
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
   }
-  EXPECT_EQ(batcher.stats().rejected, 0u);
-  // Every admitted query was answered, so a full-width frame fits again.
-  auto full = batcher.SubmitAll(
-      engine, std::vector<CountingQuery>(kCapacity, queries[0]),
-      milliseconds(60000));
-  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(gate.stats().rejected, 0u);
+  // Every admitted query was answered, so a full-width call fits again.
+  EXPECT_TRUE(gate.Run(kCapacity, FarDeadline(), Seven).ok());
 }
 
 }  // namespace

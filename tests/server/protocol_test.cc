@@ -190,6 +190,23 @@ TEST(RequestTest, MalformedRequestsAreRejected) {
   }
 }
 
+TEST(RequestTest, NumbersPastUint64MaxAreRejected) {
+  // 2^64 + 1 used to wrap to 1 and pin version 1; past UINT64_MAX every
+  // number on the command line is BAD_REQUEST instead.
+  auto expect_rejected = [](const char* payload) {
+    auto parsed = ParseRequest(payload);
+    ASSERT_FALSE(parsed.ok()) << payload;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << payload;
+  };
+  expect_rejected("OPEN 18446744073709551617");
+  expect_rejected("OPEN 99999999999999999999999");
+  expect_rejected("QUERY/18446744073709551616 COUNT(*)");
+  expect_rejected("BATCH 18446744073709551617");
+  auto max = ParseRequest("OPEN 18446744073709551615");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->version, UINT64_MAX);
+}
+
 TEST(RequestTest, BatchOverTheCeilingIsRejected) {
   std::string payload = "BATCH " + std::to_string(kMaxBatchQueries + 1);
   for (size_t i = 0; i <= kMaxBatchQueries; ++i) payload += "\nCOUNT(*)";

@@ -2,8 +2,11 @@
 // through the wire byte-for-byte like the engine, repeated queries hit
 // the result cache, versioned roots support time travel and keep pinned
 // readers bitwise-stable across concurrent publishes, malformed frames
-// close the connection, overload surfaces as typed SERVER_BUSY, and Stop()
-// never touches a descriptor a finished session released.
+// close the connection, every query kind passes the admission gate
+// (typed SERVER_BUSY when full, DEADLINE_EXCEEDED when late), finished
+// sessions are joined as connections churn, Stop() never touches a
+// descriptor a finished session released, and mutated wire input fails
+// with typed errors only.
 
 #include "server/server.h"
 
@@ -12,7 +15,9 @@
 
 #include <array>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iterator>
 #include <set>
@@ -21,10 +26,12 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "common/str_util.h"
 #include "engine/sharded_store.h"
 #include "engine/versioned.h"
 #include "query/parser.h"
 #include "server/client.h"
+#include "server/result_cache.h"
 #include "storage/version_set.h"
 
 namespace entropydb {
@@ -98,6 +105,7 @@ class ServerTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
     server_.reset();
     fs::remove_all(root_);
+    fs::remove_all(root_ + "_join");
   }
 
   void StartServer(std::function<void(QueryServer::Options*)> tweak = {}) {
@@ -125,8 +133,36 @@ class ServerTest : public ::testing::Test {
     return report.ok() ? report->version : 0;
   }
 
+  /// Saves a right-side JOIN relation sharing A0 next to the fixture root
+  /// and returns its path.
+  std::string SaveJoinRelation() {
+    const std::string path = root_ + "_join";
+    ShardedOptions sopts;
+    sopts.store = SmallStoreOptions();
+    auto right = ShardedStore::Build(
+        *testutil::RandomTable({6, 4}, 300, 223), sopts);
+    EXPECT_TRUE(right.ok()) << right.status().ToString();
+    if (right.ok()) {
+      EXPECT_TRUE((*right)->Save(path).ok());
+    }
+    return path;
+  }
+
   std::string root_;
   std::unique_ptr<QueryServer> server_;
+};
+
+/// One request of every kind that answers through the admission gate,
+/// each naming a distinct query.
+const char* const kEveryGatedKind[] = {
+    "QUERY COUNT(*) WHERE A0 = 4 AND A1 BETWEEN 0 AND 5",
+    "QUERY SUM(A2) WHERE A0 = 1 AND A1 IN (0, 2, 4)",
+    "QUERY AVG(A2) WHERE A1 BETWEEN 1 AND 3",
+    "QUERY QUANTILE(A2, 0.5) WHERE A0 IN (1, 2)",
+    "QUERY TOPK(A1, 3) WHERE A2 = 0 AND A0 = 1",
+    "JOIN COUNT(*) ON A0 WHERE left.A1 = 2",
+    "JOIN SUM(A2) ON A0 WHERE right.A1 = 3",
+    "BATCH 2\nCOUNT(*) WHERE A1 = 5\nCOUNT(*) WHERE A2 = 4",
 };
 
 TEST_F(ServerTest, QueryAnswersBitwiseLikeTheEngine) {
@@ -229,14 +265,71 @@ TEST_F(ServerTest, MalformedFrameClosesTheConnection) {
 }
 
 TEST_F(ServerTest, ZeroCapacityQueueAnswersServerBusy) {
-  StartServer([](QueryServer::Options* opts) { opts->queue_capacity = 0; });
+  const std::string join = SaveJoinRelation();
+  StartServer([&](QueryServer::Options* opts) {
+    opts->queue_capacity = 0;
+    opts->join_path = join;
+  });
   WireClient client = Connect();
-  auto resp = client.CallRaw("QUERY COUNT(*)");
-  ASSERT_TRUE(resp.ok());
-  EXPECT_FALSE(resp->ok);
-  EXPECT_EQ(resp->code, "SERVER_BUSY");
-  const Status back = StatusFromWire(resp->code, resp->message);
-  EXPECT_EQ(back.code(), StatusCode::kResourceExhausted);
+  // Every kind passes the one gate, so a full gate refuses them all.
+  for (const char* request : kEveryGatedKind) {
+    auto resp = client.CallRaw(request);
+    ASSERT_TRUE(resp.ok()) << request;
+    EXPECT_FALSE(resp->ok) << request;
+    EXPECT_EQ(resp->code, "SERVER_BUSY") << request;
+    const Status back = StatusFromWire(resp->code, resp->message);
+    EXPECT_EQ(back.code(), StatusCode::kResourceExhausted) << request;
+  }
+  WireResponse stats = MustCall(client, "STATS");
+  std::set<std::string> lines(stats.lines.begin(), stats.lines.end());
+  for (const char* want : {"queries 0", "admitted 0", "rejected 8"}) {
+    EXPECT_EQ(lines.count(want), 1u) << want;
+  }
+}
+
+TEST_F(ServerTest, EveryKindIsLateAtAZeroDeadlineAndIsNotCached) {
+  // With a default deadline of 0 ms every answer finishes late: each kind
+  // is DEADLINE_EXCEEDED, and the late answer is not cached, so a retry
+  // with a deadline of its own answers afresh.
+  const std::string join = SaveJoinRelation();
+  StartServer([&](QueryServer::Options* opts) {
+    opts->default_deadline_ms = 0;
+    opts->join_path = join;
+  });
+  WireClient client = Connect();
+  for (const std::string request : kEveryGatedKind) {
+    auto resp = client.CallRaw(request);
+    ASSERT_TRUE(resp.ok()) << request;
+    EXPECT_FALSE(resp->ok) << request;
+    EXPECT_EQ(resp->code, "DEADLINE_EXCEEDED") << request;
+
+    const size_t space = request.find(' ');
+    const std::string retry =
+        request.substr(0, space) + "/60000" + request.substr(space);
+    WireResponse again = MustCall(client, retry);
+    ASSERT_FALSE(again.lines.empty()) << retry;
+    if (request.rfind("BATCH", 0) == 0) {
+      ASSERT_EQ(again.lines.size(), 2u);
+    } else {
+      EXPECT_EQ(again.lines.back(), "cached 0") << retry;
+    }
+  }
+  // The BATCH retry found no late answer cached: both of its slots were
+  // admitted and answered again, and are cached now.
+  WireResponse single = MustCall(client, "QUERY/60000 COUNT(*) WHERE A2 = 4");
+  ASSERT_FALSE(single.lines.empty());
+  EXPECT_EQ(single.lines.back(), "cached 1");
+  // The longest deadline the wire can carry is not late either: it must
+  // not wrap around the clock.
+  WireResponse longest = MustCall(
+      client, "QUERY/18446744073709551615 COUNT(*) WHERE A0 = 5");
+  ASSERT_FALSE(longest.lines.empty());
+  EXPECT_EQ(longest.lines.back(), "cached 0");
+  WireResponse stats = MustCall(client, "STATS");
+  std::set<std::string> lines(stats.lines.begin(), stats.lines.end());
+  for (const char* want : {"batches 2", "admitted 19", "expired 8"}) {
+    EXPECT_EQ(lines.count(want), 1u) << want;
+  }
 }
 
 TEST_F(ServerTest, TimeTravelAcrossAnExternalAppend) {
@@ -289,14 +382,17 @@ TEST_F(ServerTest, StatsReportsServingCounters) {
   MustCall(client, "QUERY COUNT(*)");
   MustCall(client, "QUERY COUNT(*)");
   MustCall(client, "BATCH 2\nCOUNT(*) WHERE A0 = 1\nCOUNT(*) WHERE A1 = 2");
+  MustCall(client, "QUERY SUM(A2) WHERE A0 = 2");
+  MustCall(client, "QUERY TOPK(A1, 2)");
   WireResponse stats = MustCall(client, "STATS");
-  // The first COUNT answers inline as one engine query; the repeat is a
-  // cache hit and never reaches the engine. The BATCH frame is one
-  // AnswerAll of its two misses. All three misses passed admission.
+  // The first COUNT, the SUM and the TOPK answer inline as one engine
+  // query each; the repeated COUNT is a cache hit and never reaches the
+  // engine. The BATCH frame is one AnswerAll of its two misses. All five
+  // misses passed admission.
   std::set<std::string> lines(stats.lines.begin(), stats.lines.end());
   for (const char* want :
-       {"version 1", "queries 1", "batches 1", "batched_queries 2",
-        "cache_hits 1", "cache_misses 3", "admitted 3", "rejected 0",
+       {"version 1", "queries 3", "batches 1", "batched_queries 2",
+        "cache_hits 1", "cache_misses 5", "admitted 5", "rejected 0",
         "expired 0"}) {
     EXPECT_EQ(lines.count(want), 1u) << want;
   }
@@ -575,6 +671,183 @@ TEST_F(ServerTest, UnversionedStoreServesWithoutVersionCommands) {
   EXPECT_EQ(version.lines[0], "current 0");
   (*server)->Stop();
   fs::remove_all(plain);
+}
+
+/// A numeric field of /proc/self/status ("VmSize:" in KiB, "Threads:").
+size_t ProcStatus(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field, 0) == 0) return std::stoul(line.substr(field.size()));
+  }
+  return 0;
+}
+
+TEST_F(ServerTest, ConnectionChurnJoinsFinishedSessions) {
+  // A session thread that ended is joined when a later connection
+  // arrives. Left unjoined, each would keep its stack mapped (8 MiB by
+  // default), and 256 connect/close cycles would grow VmSize by ~2 GiB.
+  StartServer();
+  const size_t threads = ProcStatus("Threads:");
+  auto cycle = [&] {
+    {
+      WireClient client = Connect();
+      MustCall(client, "STATS");
+    }
+    // Each cycle waits for its session thread to exit, so the next one
+    // reuses the memory it freed instead of racing it for a new malloc
+    // arena; only an unjoined stack can then grow VmSize.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (ProcStatus("Threads:") > threads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_LE(ProcStatus("Threads:"), threads);
+  };
+  for (int i = 0; i < 16; ++i) cycle();
+  const size_t before = ProcStatus("VmSize:");
+  for (int i = 0; i < 256; ++i) cycle();
+  const size_t after = ProcStatus("VmSize:");
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after, before + 64 * 1024) << before << " -> " << after << " KiB";
+  EXPECT_EQ(server_->stats().connections, 272u);
+}
+
+/// Dialect and wire fragments a mutation splices into a frame,
+/// '|'-separated.
+constexpr char kFragments[] =
+    "(|)|,|=|*|'|.|/|\n| |AND|WHERE|IN|ON|BETWEEN|left.|right.|A0|A7|-1|0|"
+    "4.5|1e308|-1e308|1e999|nan|inf|0x1p9|18446744073709551617|COUNT(*)|"
+    "TOPK(A1,|QUANTILE(A2,|QUERY|JOIN|BATCH 2|OPEN";
+
+/// A deterministic mutation of a valid request payload: byte flips,
+/// truncations, fragments in place of up to three bytes, a repeated
+/// slice, or a rewritten length header. Half the time the edits apply to
+/// the payload and the result is framed again, so they reach the parsers
+/// instead of stopping at the frame decoder.
+std::string MutateFrame(const std::string& payload, Rng& rng) {
+  static const auto fragments = SplitString(kFragments, '|');
+  const bool reframe = rng.Uniform(2) == 0;
+  std::string out = reframe ? payload : EncodeFrame(payload);
+  const uint64_t edits = rng.Uniform(4) == 0 ? 2 + rng.Uniform(2) : 1;
+  for (uint64_t e = 0; e < edits; ++e) {
+    switch (rng.Uniform(5)) {
+      case 0:
+        if (!out.empty()) {
+          out[rng.Uniform(out.size())] ^=
+              static_cast<char>(1 + rng.Uniform(255));
+        }
+        break;
+      case 1:
+        out.resize(rng.Uniform(out.size() + 1));
+        break;
+      case 2: {
+        const size_t at = rng.Uniform(out.size() + 1);
+        const std::string& fragment = fragments[rng.Uniform(fragments.size())];
+        out.replace(at, rng.Uniform(4), fragment);
+        break;
+      }
+      case 3: {
+        const size_t at = rng.Uniform(out.size() + 1);
+        const size_t len = rng.Uniform(out.size() - at + 1);
+        out.insert(rng.Uniform(out.size() + 1), out.substr(at, len));
+        break;
+      }
+      default: {
+        // A bogus header: any hex length (often far past the payload or
+        // the 1 MiB ceiling), a non-hex digit, or a missing newline.
+        uint64_t length = rng.Uniform(64);
+        if (rng.Uniform(2) == 0) length = rng.Uniform(1ull << 32);
+        char header[32];
+        std::snprintf(header, sizeof(header), "%08llx\n",
+                      static_cast<unsigned long long>(length));
+        std::string bogus(header);
+        if (rng.Uniform(3) == 0) bogus[rng.Uniform(9)] = 'g';
+        out = bogus + out.substr(std::min(out.size(), kFrameHeaderSize));
+        break;
+      }
+    }
+  }
+  return reframe ? EncodeFrame(out) : out;
+}
+
+/// The valid request payloads the fuzz test mutates, '|'-separated.
+constexpr char kSeedRequests[] =
+    "QUERY COUNT(*) WHERE A0 = 2 AND A1 BETWEEN 1 AND 4|"
+    "QUERY/250 SUM(A2) WHERE A0 IN (1, 3, 5)|"
+    "QUERY AVG(A1) WHERE A2 BETWEEN 0.5 AND 3|"
+    "QUERY QUANTILE(A2, 0.25) WHERE A1 = 3|"
+    "QUERY TOPK(A1, 3) WHERE A0 IN (0, 2)|"
+    "BATCH 2\nCOUNT(*) WHERE A0 = 0\nCOUNT(*) WHERE A2 BETWEEN 1 AND 2|"
+    "JOIN COUNT(*) ON A0 WHERE left.A1 = 2 AND right.A2 IN (1, 4)|"
+    "JOIN/90 SUM(left.A2) ON A0 = A1 WHERE right.A0 BETWEEN 1 AND 3|"
+    "OPEN 1|OPEN live";
+
+TEST_F(ServerTest, MutatedWireFramesFailWithTypedErrors) {
+  // Seeded mutations of valid frames run through the server's own decode
+  // and parse path against its schema. Nothing may crash or hang, and
+  // every failure must be a typed error that renders as a one-line ERR
+  // response, never INTERNAL.
+  auto engine = EntropyEngine::Open(root_);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::vector<std::string>& names = (*engine)->attr_names();
+  const std::vector<Domain>& domains = (*engine)->domains();
+  const std::vector<std::string> seeds = SplitString(kSeedRequests, '|');
+  size_t failures = 0;
+  size_t parsed = 0;
+  auto expect_typed = [&](const Status& status) {
+    ++failures;
+    EXPECT_NE(WireErrorCode(status.code()), "INTERNAL") << status.ToString();
+    auto rendered = ParseResponse(EncodeErrorResponse(status));
+    ASSERT_TRUE(rendered.ok()) << status.ToString();
+    EXPECT_EQ(rendered->code, WireErrorCode(status.code()));
+    EXPECT_TRUE(rendered->lines.empty()) << status.ToString();
+  };
+  auto parse_query = [&](const std::string& text) {
+    auto query = ParseQuery(text, names, domains);
+    if (!query.ok()) return expect_typed(query.status());
+    ++parsed;
+    CanonicalQueryKey(*query);
+    ToAggregateQuery(*query, domains);
+  };
+  auto parse_join = [&](const std::string& text) {
+    auto join = ParseJoinQuery(text, names, domains, names, domains);
+    if (!join.ok()) return expect_typed(join.status());
+    ++parsed;
+    CanonicalJoinQueryKey(*join);
+    ToAggregateQuery(*join, domains);
+  };
+
+  Rng rng(0x5eed);
+  for (int round = 0; round < 4000; ++round) {
+    for (const std::string& seed : seeds) {
+      const std::string input = MutateFrame(seed, rng);
+      FrameDecoder decoder;
+      decoder.Feed(input);
+      // Every payload the decoder yields consumes at least a header, so
+      // this loop ends.
+      for (;;) {
+        auto frame = decoder.Next();
+        if (!frame.ok()) {
+          expect_typed(frame.status());
+          break;
+        }
+        if (!frame->has_value()) break;
+        auto req = ParseRequest(**frame);
+        if (!req.ok()) {
+          expect_typed(req.status());
+          continue;
+        }
+        if (req->type == CommandType::kQuery) parse_query(req->query);
+        if (req->type == CommandType::kJoin) parse_join(req->query);
+        for (const std::string& text : req->queries) parse_query(text);
+      }
+    }
+  }
+  // The mutations reach every layer: many inputs fail, many still parse.
+  EXPECT_GT(failures, 3000u);
+  EXPECT_GT(parsed, 1000u);
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 //       --schema "origin:cat,dest:cat,distance:num:81,fl_time:num:62"
 //       --pairs auto --ba 2 --budget 500 --out flights.edb
 //
-//   entropydb_build --csv data.csv --schema ... \
-//       --summaries 3 --budget 500 --store flights.store \
+//   entropydb_build --csv data.csv --schema ...
+//       --summaries 3 --budget 500 --store flights.store
 //       --samples 2 --sample-fraction 0.01 --uniform on
 //
-//   entropydb_build --csv data.csv --schema ... \
+//   entropydb_build --csv data.csv --schema ...
 //       --store flights.store --shards 4 --shard-scheme rr
 //
 // Schema entries are name:kind[:buckets] with kind one of cat|num|int.
@@ -61,7 +61,7 @@
 //
 // Versioning (storage/version_set.h, engine/versioned.h):
 //
-//   entropydb_build --csv data.csv --schema ... \
+//   entropydb_build --csv data.csv --schema ...
 //       --store flights.vdb --shards 4 --versioned on [--retain K]
 //   entropydb_build --append new_rows.csv --store flights.vdb
 //

@@ -22,7 +22,7 @@
 // TOPK(attr, k). With --join PATH a second (RIGHT) relation loads and the
 // shell switches to the two-relation dialect:
 //
-//   entropydb_query --store flights.store --join carriers.store \
+//   entropydb_query --store flights.store --join carriers.store
 //       --query "COUNT(*) ON carrier WHERE left.distance BETWEEN 100 AND 500"
 
 #include <cstdio>
@@ -168,31 +168,7 @@ int RunOne(const EntropyEngine& engine, const std::string& text) {
     std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  // Bucket-representative weights (midpoints / label order index for
-  // categorical attributes) — the same rule the server applies.
-  const AttrId agg = parsed->agg_attr;
-  AggregateQuery query;
-  switch (parsed->aggregate) {
-    case ParsedQuery::Aggregate::kCount:
-      query = AggregateQuery::Count(parsed->where);
-      break;
-    case ParsedQuery::Aggregate::kSum:
-      query = AggregateQuery::Sum(agg, BucketWeights(engine.domains()[agg]),
-                                  parsed->where);
-      break;
-    case ParsedQuery::Aggregate::kAvg:
-      query = AggregateQuery::Avg(agg, BucketWeights(engine.domains()[agg]),
-                                  parsed->where);
-      break;
-    case ParsedQuery::Aggregate::kQuantile:
-      query = AggregateQuery::Quantile(agg,
-                                       BucketWeights(engine.domains()[agg]),
-                                       parsed->quantile, parsed->where);
-      break;
-    case ParsedQuery::Aggregate::kTopK:
-      query = AggregateQuery::TopK(agg, parsed->top_k, parsed->where);
-      break;
-  }
+  const AggregateQuery query = ToAggregateQuery(*parsed, engine.domains());
   Timer timer;
   std::vector<RouteDecision> shard_decs;
   auto res = engine.Answer(query, nullptr, &shard_decs);
@@ -220,9 +196,9 @@ int RunOne(const EntropyEngine& engine, const std::string& text) {
                   ms);
       break;
     case ParsedQuery::Aggregate::kTopK: {
-      const Domain& dom = engine.domains()[agg];
+      const Domain& dom = engine.domains()[query.agg_attr];
       std::printf("top %zu of %s (%.2f ms):\n", res->cells.size(),
-                  engine.attr_names()[agg].c_str(), ms);
+                  engine.attr_names()[query.agg_attr].c_str(), ms);
       for (const GroupCell& cell : res->cells) {
         std::printf("  %-16s %.1f    (+/- %.1f)\n",
                     dom.LabelFor(cell.code).c_str(),
@@ -249,15 +225,7 @@ int RunOneJoin(const EntropyEngine& left, const EntropyEngine& right,
     std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  AggregateQuery query =
-      parsed->aggregate == ParsedJoinQuery::Aggregate::kCount
-          ? AggregateQuery::JoinCount(parsed->left_join, parsed->right_join,
-                                      parsed->left_where, parsed->right_where)
-          : AggregateQuery::JoinSum(
-                parsed->agg_attr,
-                BucketWeights(left.domains()[parsed->agg_attr]),
-                parsed->left_join, parsed->right_join, parsed->left_where,
-                parsed->right_where);
+  const AggregateQuery query = ToAggregateQuery(*parsed, left.domains());
   Timer timer;
   auto res = left.AnswerJoin(query, right);
   if (!res.ok()) {
