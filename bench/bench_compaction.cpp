@@ -6,18 +6,17 @@
 // Compaction wall time is reported alongside, since the whole point of
 // the LSM-style split is paying it off the query path.
 //
-// Before benchmarks run, a verification pass gates the PR's claims:
+// Before benchmarks run, a verification pass states the claims as gate
+// rows:
 //   * every battery query's merged COUNT on the compacted store must be
 //     within 1e-9 (relative) of the uncompacted store's answer, and
 //   * the selective workload must be faster on the compacted store (it
-//     fans out over FEWER shards — fewer model evaluations per query).
-// --compact_out FILE writes the measurements as JSON for the CI gate
-// (tools/check_perf_gate.py --compact). The bench exits non-zero if an
-// enforced bar fails.
+//     fans out over FEWER shards — fewer model evaluations per query, so
+//     the bar holds on any core count).
+// --gate_out FILE writes the rows for tools/check_perf_gate.py.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -229,78 +228,22 @@ BENCHMARK(BM_MergedCount)->ArgNames({"compacted"})->Arg(0)->Arg(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --compact_out FILE before google-benchmark sees argv.
-  std::string compact_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--compact_out") == 0 && i + 1 < argc) {
-      compact_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   auto& f = CompactionFixture::Get();
-  const double merge_err = MergeMaxRelErr();
+  gate.Record("base_rows", f.base_rows);
+  gate.Record("batches", kBatches);
+  gate.Record("batch_rows", f.batch_rows);
+  gate.Record("pre_shards", f.pre_shards);
+  gate.Record("post_shards", f.post_shards);
+  gate.Record("compact_seconds", f.compact_seconds);
+  gate.Enforce("merge_max_rel_err", MergeMaxRelErr(), "<=", 1e-9);
   const double pre_ns = MeasureNsPerQuery(*f.pre);
   const double post_ns = MeasureNsPerQuery(*f.post);
-  const bool merged_ok = merge_err <= 1e-9;
-  // Fewer shards = fewer per-query model evaluations: enforceable on any
-  // core count, like the pruning bar.
-  const bool faster = post_ns < pre_ns;
-
-  std::printf("compaction (%zu base rows + %zu x %zu batch rows):\n",
-              f.base_rows, kBatches, f.batch_rows);
-  std::printf("  shards %zu -> %zu, compaction wall %.2fs\n", f.pre_shards,
-              f.post_shards, f.compact_seconds);
-  std::printf("  merge max rel err %.3g (bar 1e-9): %s\n", merge_err,
-              merged_ok ? "ok" : "FAIL");
-  std::printf("  selective %8.0f ns/query -> %8.0f ns/query (%.2fx): %s\n",
-              pre_ns, post_ns, pre_ns / std::max(post_ns, 1.0),
-              faster ? "ok" : "FAIL");
-
-  if (!compact_out.empty()) {
-    FILE* out = std::fopen(compact_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --compact_out file: %s\n",
-                   compact_out.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"base_rows\": %zu,\n"
-                 "  \"batches\": %zu,\n"
-                 "  \"batch_rows\": %zu,\n"
-                 "  \"pre_shards\": %zu,\n"
-                 "  \"post_shards\": %zu,\n"
-                 "  \"compact_seconds\": %.3f,\n"
-                 "  \"merge_max_rel_err\": %.3g,\n"
-                 "  \"pre_ns\": %.1f,\n"
-                 "  \"post_ns\": %.1f,\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"pass\": %s\n"
-                 "}\n",
-                 f.base_rows, kBatches, f.batch_rows, f.pre_shards,
-                 f.post_shards, f.compact_seconds, merge_err, pre_ns, post_ns,
-                 pre_ns / std::max(post_ns, 1.0),
-                 (merged_ok && faster) ? "true" : "false");
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --compact_out file: %s\n",
-                   compact_out.c_str());
-      return 1;
-    }
-  }
+  gate.Record("pre_ns", pre_ns);
+  gate.Enforce("post_ns", post_ns, "<", pre_ns);
+  gate.Record("speedup", pre_ns / std::max(post_ns, 1.0));
   fs::remove_all(f.dir);
-  if (!merged_ok || !faster) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  if (!gate.Write()) return 1;
+  return RunBenchmarks(argc, argv);
 }

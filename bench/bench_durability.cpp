@@ -5,16 +5,13 @@
 // that durability must be (nearly) free where it matters:
 //   * store OPEN with checksum verification ON must stay within 5% of the
 //     unverified open (verification is one streaming CRC per file, done
-//     while the bytes are already hot) — the enforced bar, also checked
-//     downstream by tools/check_perf_gate.py --durability;
+//     while the bytes are already hot) — the one enforced gate row;
 //   * save wall time and WAL append throughput (synced and unsynced) are
-//     recorded for the trajectory but not gated — both are fsync-bound,
-//     and fsync latency is the CI runner's, not this PR's.
-// --durability_out FILE writes the measurements as JSON for the CI gate.
-// The bench exits non-zero if the enforced bar fails.
+//     recorded rows for the trajectory — both are fsync-bound, and fsync
+//     latency is the machine's, not the code's.
+// --gate_out FILE writes the rows for tools/check_perf_gate.py.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -230,76 +227,21 @@ BENCHMARK(BM_WalAppendUnsynced);
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --durability_out FILE before google-benchmark sees argv.
-  std::string durability_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--durability_out") == 0 && i + 1 < argc) {
-      durability_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   auto& f = DurabilityFixture::Get();
-
-  const double save_seconds = SaveSeconds();
+  gate.Record("rows", f.table->num_rows());
+  gate.Record("save_seconds", SaveSeconds());
   const double open_verified = OpenSeconds(true);
   const double open_unverified = OpenSeconds(false);
-  const double overhead =
-      open_verified / std::max(open_unverified, 1e-12);
+  gate.Record("open.verified_seconds", open_verified);
+  gate.Record("open.unverified_seconds", open_unverified);
+  gate.Enforce("open.overhead_ratio",
+               open_verified / std::max(open_unverified, 1e-12), "<=", 1.05);
   const WalThroughput wal = MeasureWal();
-
-  constexpr double kOpenOverheadBar = 1.05;
-  const bool open_ok = overhead <= kOpenOverheadBar;
-
-  std::printf("durability overhead (%zu rows):\n", f.table->num_rows());
-  std::printf("  atomic save (publish over existing): %.3fs\n", save_seconds);
-  std::printf("  open verified %.4fs vs unverified %.4fs  (%.3fx, bar "
-              "%.2fx): %s\n",
-              open_verified, open_unverified, overhead, kOpenOverheadBar,
-              open_ok ? "ok" : "FAIL");
-  std::printf("  wal append: %.0f rec/s synced, %.0f rec/s unsynced "
-              "(%zu B records)\n",
-              wal.synced_per_sec, wal.unsynced_per_sec, wal.bytes_per_record);
-
-  if (!durability_out.empty()) {
-    FILE* out = std::fopen(durability_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --durability_out file: %s\n",
-                   durability_out.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"rows\": %zu,\n"
-                 "  \"save_seconds\": %.6f,\n"
-                 "  \"open\": {\"verified_seconds\": %.6f, "
-                 "\"unverified_seconds\": %.6f, \"overhead_ratio\": %.4f},\n"
-                 "  \"wal\": {\"synced_records_per_sec\": %.1f, "
-                 "\"unsynced_records_per_sec\": %.1f, "
-                 "\"bytes_per_record\": %zu},\n"
-                 "  \"pass\": %s\n}\n",
-                 f.table->num_rows(), save_seconds, open_verified,
-                 open_unverified, overhead, wal.synced_per_sec,
-                 wal.unsynced_per_sec, wal.bytes_per_record,
-                 open_ok ? "true" : "false");
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --durability_out file: %s\n",
-                   durability_out.c_str());
-      return 1;
-    }
-  }
-  if (!open_ok) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  gate.Record("wal.synced_records_per_sec", wal.synced_per_sec);
+  gate.Record("wal.unsynced_records_per_sec", wal.unsynced_per_sec);
+  gate.Record("wal.bytes_per_record", wal.bytes_per_record);
+  if (!gate.Write()) return 1;
+  return RunBenchmarks(argc, argv);
 }

@@ -9,10 +9,10 @@
 //    across the pool.
 //
 // Run with --benchmark_filter as usual; --quick shrinks the workload for
-// CI. Before benchmarks run, a verification pass asserts the acceptance
-// bar that store-routed answers match a per-summary reference answerer to
-// <= 1e-12 relative error; --accuracy_out FILE additionally writes the
-// result as JSON for the CI artifact.
+// CI. Before benchmarks run, a verification pass states the acceptance
+// bar as a gate row: store-routed answers match a per-summary reference
+// answerer to <= 1e-12 relative error. --gate_out FILE writes the rows
+// for tools/check_perf_gate.py.
 //
 // Thread counts above the host's cores still measure (oversubscribed);
 // the 1 -> 8 scaling claim is meaningful on >= 8-core hardware.
@@ -20,7 +20,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -151,7 +151,7 @@ void BM_StoreBatchAnswerAll(benchmark::State& state) {
 BENCHMARK(BM_StoreBatchAnswerAll);
 
 /// Routed answers vs. a dedicated per-summary reference answerer; returns
-/// the max relative error over the workload (acceptance bar: <= 1e-12).
+/// the max relative error over the workload.
 double VerifyRoutedAccuracy(size_t* checked) {
   auto& f = ThroughputFixture::Get();
   QueryRouter router(f.store);
@@ -168,9 +168,15 @@ double VerifyRoutedAccuracy(size_t* checked) {
   for (const auto& q : f.workload) {
     RouteDecision dec;
     auto routed = router.Answer(q, &dec);
-    if (!routed.ok()) return 1.0;
+    if (!routed.ok()) {
+      std::fprintf(stderr, "routed answer failed\n");
+      std::exit(1);
+    }
     auto ref = references[dec.index]->Answer(q);
-    if (!ref.ok()) return 1.0;
+    if (!ref.ok()) {
+      std::fprintf(stderr, "reference answer failed\n");
+      std::exit(1);
+    }
     const double denom = std::max(1.0, std::abs(ref->expectation));
     max_rel = std::max(max_rel,
                        std::abs(routed->expectation - ref->expectation) / denom);
@@ -182,50 +188,12 @@ double VerifyRoutedAccuracy(size_t* checked) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --accuracy_out FILE before google-benchmark sees argv.
-  std::string accuracy_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--accuracy_out") == 0 && i + 1 < argc) {
-      accuracy_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   size_t checked = 0;
-  const double max_rel = VerifyRoutedAccuracy(&checked);
-  std::printf("routed-vs-reference accuracy: max relative error %.3g over "
-              "%zu queries (bar: 1e-12) — %s\n",
-              max_rel, checked, max_rel <= 1e-12 ? "OK" : "FAIL");
-  if (!accuracy_out.empty()) {
-    FILE* out = std::fopen(accuracy_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --accuracy_out file: %s\n",
-                   accuracy_out.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"max_relative_error\": %.6g,\n"
-                 "  \"queries_checked\": %zu,\n  \"bar\": 1e-12,\n"
-                 "  \"pass\": %s\n}\n",
-                 max_rel, checked, max_rel <= 1e-12 ? "true" : "false");
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --accuracy_out file: %s\n",
-                   accuracy_out.c_str());
-      return 1;
-    }
-  }
-  if (max_rel > 1e-12) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  gate.Enforce("max_relative_error", VerifyRoutedAccuracy(&checked), "<=",
+               1e-12);
+  gate.Record("queries_checked", checked);
+  if (!gate.Write()) return 1;
+  return RunBenchmarks(argc, argv);
 }

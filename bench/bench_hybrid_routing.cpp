@@ -8,19 +8,17 @@
 //
 // Before benchmarks run, a verification pass measures mean relative error
 // against exact ground truth for summary-direct, sample-direct, and routed
-// answering on two workloads, and asserts the PR acceptance bar:
+// answering on two workloads, and states the acceptance bars as gate rows:
 //  - SELECTIVE (rare off-diagonal (2, 3) strata): the sample beats the
 //    summary, and routing follows the sample;
 //  - BROAD (range filters on the modeled (0, 1) pair): the summary beats
 //    the sample, and routing follows the summary;
 //  - every routed answer is bitwise the chosen source's own answer.
-// --crossover_out FILE additionally writes the measurements as JSON for
-// the CI artifact (BENCH_pr3.json). The bench exits non-zero if any claim
-// fails.
+// --gate_out FILE writes the rows for tools/check_perf_gate.py.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -140,8 +138,8 @@ WorkloadErrors Measure(const std::vector<CountingQuery>& workload) {
     RouteDecision dec;
     auto routed = router.Answer(q, &dec);
     if (!via_summary.ok() || !via_sample.ok() || !routed.ok()) {
-      e.max_routing_mismatch = 1.0;
-      continue;
+      std::fprintf(stderr, "answer failed during measurement\n");
+      std::exit(1);
     }
     e.summary += RelError(via_summary->expectation, truth);
     e.sample += RelError(via_sample->expectation, truth);
@@ -203,86 +201,24 @@ BENCHMARK(BM_SummaryDirectSelective);
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --crossover_out FILE before google-benchmark sees argv.
-  std::string crossover_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--crossover_out") == 0 && i + 1 < argc) {
-      crossover_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   auto& f = HybridFixture::Get();
   const WorkloadErrors sel = Measure(f.selective);
+  gate.Record("selective.queries", sel.queries);
+  gate.Record("selective.summary_err", sel.summary);
+  gate.Enforce("selective.sample_err", sel.sample, "<", sel.summary);
+  gate.Enforce("selective.routed_err", sel.routed, "<", sel.summary);
+  gate.Record("selective.routed_to_sample", sel.routed_to_sample);
+  gate.Enforce("selective.routing_mismatch", sel.max_routing_mismatch, "==",
+               0.0);
   const WorkloadErrors brd = Measure(f.broad);
-
-  const bool sample_wins_selective = sel.sample < sel.summary;
-  const bool summary_wins_broad = brd.summary < brd.sample;
-  const bool routed_tracks_winner =
-      sel.routed < sel.summary && brd.routed < brd.sample;
-  const bool bitwise =
-      sel.max_routing_mismatch == 0.0 && brd.max_routing_mismatch == 0.0;
-  const bool pass = sample_wins_selective && summary_wins_broad &&
-                    routed_tracks_winner && bitwise;
-
-  std::printf(
-      "hybrid crossover (mean relative error, %zu selective / %zu broad "
-      "queries):\n"
-      "  selective: summary %.3f  sample %.3f  routed %.3f  "
-      "(%zu/%zu to sample)\n"
-      "  broad:     summary %.3f  sample %.3f  routed %.3f  "
-      "(%zu/%zu to sample)\n"
-      "  claims: sample-wins-selective=%s summary-wins-broad=%s "
-      "routed-tracks-winner=%s bitwise=%s — %s\n",
-      sel.queries, brd.queries, sel.summary, sel.sample, sel.routed,
-      sel.routed_to_sample, sel.queries, brd.summary, brd.sample, brd.routed,
-      brd.routed_to_sample, brd.queries,
-      sample_wins_selective ? "yes" : "NO", summary_wins_broad ? "yes" : "NO",
-      routed_tracks_winner ? "yes" : "NO", bitwise ? "yes" : "NO",
-      pass ? "OK" : "FAIL");
-
-  if (!crossover_out.empty()) {
-    FILE* out = std::fopen(crossover_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --crossover_out file: %s\n",
-                   crossover_out.c_str());
-      return 1;
-    }
-    {
-      std::fprintf(
-          out,
-          "{\n"
-          "  \"selective\": {\"queries\": %zu, \"summary_err\": %.6g,\n"
-          "    \"sample_err\": %.6g, \"routed_err\": %.6g,\n"
-          "    \"routed_to_sample\": %zu},\n"
-          "  \"broad\": {\"queries\": %zu, \"summary_err\": %.6g,\n"
-          "    \"sample_err\": %.6g, \"routed_err\": %.6g,\n"
-          "    \"routed_to_sample\": %zu},\n"
-          "  \"bitwise_routed_answers\": %s,\n"
-          "  \"pass\": %s\n}\n",
-          sel.queries, sel.summary, sel.sample, sel.routed,
-          sel.routed_to_sample, brd.queries, brd.summary, brd.sample,
-          brd.routed, brd.routed_to_sample, bitwise ? "true" : "false",
-          pass ? "true" : "false");
-    }
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --crossover_out file: %s\n",
-                   crossover_out.c_str());
-      return 1;
-    }
-  }
-  if (!pass) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  gate.Record("broad.queries", brd.queries);
+  gate.Enforce("broad.summary_err", brd.summary, "<", brd.sample);
+  gate.Record("broad.sample_err", brd.sample);
+  gate.Enforce("broad.routed_err", brd.routed, "<", brd.sample);
+  gate.Record("broad.routed_to_sample", brd.routed_to_sample);
+  gate.Enforce("broad.routing_mismatch", brd.max_routing_mismatch, "==", 0.0);
+  if (!gate.Write()) return 1;
+  return RunBenchmarks(argc, argv);
 }

@@ -3,7 +3,8 @@
 // COUNT/SUM without touching either relation's rows — the PR 10 claim
 // that cross-relation estimates stay a pure model-side operation.
 //
-// Before benchmarks run, a verification pass gates the PR's claims:
+// Before benchmarks run, a verification pass states the claims as gate
+// rows:
 //   * fused JOIN_COUNT and JOIN_SUM estimates over exactly-pinned models
 //     (full pair statistics, solver driven past default tolerance) must
 //     stay within 1e-4 (relative) of brute-force ground truth over the
@@ -11,13 +12,10 @@
 //   * the fused estimate must be faster than the exact single-pass scan
 //     of both relations (the fusion reads two model marginals; the scan
 //     reads every row — enforceable on any core count).
-// --join_out FILE writes the measurements as JSON for the CI gate
-// (tools/check_perf_gate.py --join). The bench exits non-zero if an
-// enforced bar fails.
+// --gate_out FILE writes the rows for tools/check_perf_gate.py.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -265,86 +263,27 @@ BENCHMARK(BM_ExactJoinCount);
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --join_out FILE before google-benchmark sees argv.
-  std::string join_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--join_out") == 0 && i + 1 < argc) {
-      join_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   auto& f = JoinFixture::Get();
+  gate.Record("left_rows", f.left_table->num_rows());
+  gate.Record("right_rows", f.right_table->num_rows());
+  gate.Record("queries", f.battery.size());
   double count_err = 0.0, sum_err = 0.0;
   FidelityMaxRelErr(&count_err, &sum_err);
-  const double fused_ns =
-      MeasureNs([](const JoinWorkload& w) {
-        auto est = FusedCount(w);
-        benchmark::DoNotOptimize(est);
-      });
+  gate.Enforce("fidelity.count_max_rel_err", count_err, "<=", 1e-4);
+  gate.Enforce("fidelity.sum_max_rel_err", sum_err, "<=", 1e-4);
+  const double fused_ns = MeasureNs([](const JoinWorkload& w) {
+    auto est = FusedCount(w);
+    benchmark::DoNotOptimize(est);
+  });
   const double exact_ns = MeasureNs([](const JoinWorkload& w) {
     const double truth = ExactJoinCount(w);
     benchmark::DoNotOptimize(truth);
   });
-  const bool fidelity_ok = count_err <= 1e-4 && sum_err <= 1e-4;
-  const bool faster = fused_ns < exact_ns;
-
-  std::printf("join fusion (%zu left rows x %zu right rows, %zu queries):\n",
-              f.left_table->num_rows(), f.right_table->num_rows(),
-              f.battery.size());
-  std::printf("  fidelity: count max rel err %.3g, sum max rel err %.3g "
-              "(bar 1e-4): %s\n",
-              count_err, sum_err, fidelity_ok ? "ok" : "FAIL");
-  std::printf("  latency: fused %8.0f ns/query vs exact scan %8.0f "
-              "ns/query (%.1fx): %s\n",
-              fused_ns, exact_ns, exact_ns / std::max(fused_ns, 1.0),
-              faster ? "ok" : "FAIL");
-
-  if (!join_out.empty()) {
-    FILE* out = std::fopen(join_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --join_out file: %s\n",
-                   join_out.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"left_rows\": %zu,\n"
-                 "  \"right_rows\": %zu,\n"
-                 "  \"queries\": %zu,\n"
-                 "  \"fidelity\": {\n"
-                 "    \"count_max_rel_err\": %.3g,\n"
-                 "    \"sum_max_rel_err\": %.3g\n"
-                 "  },\n"
-                 "  \"latency\": {\n"
-                 "    \"fused_ns\": %.1f,\n"
-                 "    \"exact_ns\": %.1f,\n"
-                 "    \"speedup\": %.3f\n"
-                 "  },\n"
-                 "  \"pass\": %s\n"
-                 "}\n",
-                 f.left_table->num_rows(), f.right_table->num_rows(),
-                 f.battery.size(), count_err, sum_err, fused_ns, exact_ns,
-                 exact_ns / std::max(fused_ns, 1.0),
-                 (fidelity_ok && faster) ? "true" : "false");
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --join_out file: %s\n",
-                   join_out.c_str());
-      return 1;
-    }
-  }
-  if (!fidelity_ok || !faster) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  gate.Enforce("latency.fused_ns", fused_ns, "<", exact_ns);
+  gate.Record("latency.exact_ns", exact_ns);
+  gate.Record("latency.speedup", exact_ns / std::max(fused_ns, 1.0));
+  if (!gate.Write()) return 1;
+  return RunBenchmarks(argc, argv);
 }

@@ -11,24 +11,22 @@
 //     rather than the signal,
 //   * QPS with 1 / 4 / 8 concurrent client connections, and
 //   * serial QUERY frames vs one BATCH frame per 32 queries at 8
-//     clients — the micro-batching claim (one AnswerAll evaluates the
-//     shared model once for the whole batch, and framing amortizes the
-//     per-request round trip).
+//     clients: the session thread answers a frame's cache misses with one
+//     AnswerAll, which fans them across the pool, and one frame replaces
+//     32 round trips.
 //
-// Before benchmarks run, a verification pass gates the PR's claims:
+// Before benchmarks run, a verification pass states the claims as gate
+// rows:
 //   * a result-cache hit must be >= 10x faster than the uncached
 //     query (a hit skips maxent evaluation entirely, so the bar is
 //     core-count independent), and
 //   * batched throughput must be >= serial throughput at 8 clients
 //     (round-trip amortization, also core-count independent).
-// --serving_out FILE writes the measurements as JSON for the CI gate
-// (tools/check_perf_gate.py --serving). The bench exits non-zero if an
-// enforced bar fails.
+// --gate_out FILE writes the rows for tools/check_perf_gate.py.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -296,22 +294,12 @@ BENCHMARK(BM_WireBatch32);
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --serving_out FILE before google-benchmark sees argv.
-  std::string serving_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--serving_out") == 0 && i + 1 < argc) {
-      serving_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   auto& f = ServingFixture::Get();
   const size_t n = f.requests;
+  gate.Record("rows", f.rows);
+  gate.Record("requests", n);
 
   // End-to-end QUERY-frame latency, per request, round trip included.
   // Uncached samples give the ops-facing p50/p99; the warm pass on the
@@ -320,84 +308,34 @@ int main(int argc, char** argv) {
   // round trip, so one scheduler hiccup would otherwise dominate.
   const std::vector<double> uncached_samples = SampleQueryNs(*f.uncached, n);
   const double uncached_ns = Mean(uncached_samples);
-  const double p50_ns = Percentile(uncached_samples, 0.50);
-  const double p99_ns = Percentile(uncached_samples, 0.99);
+  gate.Record("latency.uncached_ns", uncached_ns);
+  gate.Record("latency.p50_ns", Percentile(uncached_samples, 0.50));
+  gate.Record("latency.p99_ns", Percentile(uncached_samples, 0.99));
   SampleQueryNs(*f.cached, f.pool.size());  // warm every pool line
   const double cached_ns = Percentile(SampleQueryNs(*f.cached, n), 0.50);
-  const double cache_speedup = uncached_ns / std::max(cached_ns, 1.0);
+  gate.Record("latency.cached_ns", cached_ns);
+  gate.Enforce("latency.cache_speedup", uncached_ns / std::max(cached_ns, 1.0),
+               ">=", 10.0);
 
   // Throughput: concurrent clients, uncached server (every query does
   // real model work, as after a fresh publish).
   const size_t per_client = std::max<size_t>(32, n / 4);
-  const double qps_1 = MeasureQps(*f.uncached, 1, per_client, false);
-  const double qps_4 = MeasureQps(*f.uncached, 4, per_client, false);
+  for (size_t clients : {1, 4}) {
+    gate.Record("throughput.qps_" + std::to_string(clients),
+                MeasureQps(*f.uncached, clients, per_client, false));
+  }
   const double qps_8 = MeasureQps(*f.uncached, 8, per_client, false);
   const double batched_qps_8 = MeasureQps(*f.uncached, 8, per_client, true);
-  const double batch_speedup = batched_qps_8 / std::max(qps_8, 1e-9);
+  gate.Record("throughput.qps_8", qps_8);
+  gate.Record("throughput.batched_qps_8", batched_qps_8);
+  gate.Enforce("throughput.batch_speedup",
+               batched_qps_8 / std::max(qps_8, 1e-9), ">=", 1.0);
+  gate.Record("cores", std::max(1u, std::thread::hardware_concurrency()));
+  if (!gate.Write()) return 1;
 
-  const bool cache_ok = cache_speedup >= 10.0;
-  const bool batch_ok = batch_speedup >= 1.0;
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-
-  std::printf("serving (%zu rows, %zu-query pool, %zu requests/bar):\n",
-              f.rows, f.pool.size(), n);
-  std::printf("  uncached %9.0f ns/query (p50 %.0f, p99 %.0f)\n", uncached_ns,
-              p50_ns, p99_ns);
-  std::printf("  cached   %9.0f ns/query (%.1fx, bar 10x): %s\n", cached_ns,
-              cache_speedup, cache_ok ? "ok" : "FAIL");
-  std::printf("  QPS      1 client %8.0f | 4 clients %8.0f | 8 clients %8.0f\n",
-              qps_1, qps_4, qps_8);
-  std::printf("  batched  8 clients %8.0f QPS (%.2fx serial, bar 1x): %s\n",
-              batched_qps_8, batch_speedup, batch_ok ? "ok" : "FAIL");
-
-  if (!serving_out.empty()) {
-    FILE* out = std::fopen(serving_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --serving_out file: %s\n",
-                   serving_out.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"rows\": %zu,\n"
-                 "  \"requests\": %zu,\n"
-                 "  \"latency\": {\n"
-                 "    \"uncached_ns\": %.1f,\n"
-                 "    \"p50_ns\": %.1f,\n"
-                 "    \"p99_ns\": %.1f,\n"
-                 "    \"cached_ns\": %.1f,\n"
-                 "    \"cache_speedup\": %.3f\n"
-                 "  },\n"
-                 "  \"throughput\": {\n"
-                 "    \"qps_1\": %.1f,\n"
-                 "    \"qps_4\": %.1f,\n"
-                 "    \"qps_8\": %.1f,\n"
-                 "    \"batched_qps_8\": %.1f,\n"
-                 "    \"batch_speedup\": %.3f\n"
-                 "  },\n"
-                 "  \"cores\": %u,\n"
-                 "  \"pass\": %s\n"
-                 "}\n",
-                 f.rows, n, uncached_ns, p50_ns, p99_ns, cached_ns,
-                 cache_speedup, qps_1, qps_4, qps_8, batched_qps_8,
-                 batch_speedup, cores, (cache_ok && batch_ok) ? "true" : "false");
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --serving_out file: %s\n",
-                   serving_out.c_str());
-      return 1;
-    }
-  }
-  if (!cache_ok || !batch_ok) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-
+  const int status = RunBenchmarks(argc, argv);
   f.cached->Stop();
   f.uncached->Stop();
   fs::remove_all(f.dir);
-  return 0;
+  return status;
 }

@@ -7,21 +7,21 @@
 // and a query that never touches attribute 0 prunes nothing (the zone-map
 // consultation itself must then be noise).
 //
-// Before benchmarks run, a verification pass gates the PR's claims:
+// Before benchmarks run, a verification pass states the claims as gate
+// rows:
 //   * pruned answers (COUNT and SUM, estimates AND variances) must be
 //     BITWISE identical to the full fan-out with pruning disabled — a
 //     pruned-out shard contributes an exact {0.0, 0.0}, so skipping it
-//     cannot move the merge by an ulp, and
+//     cannot move the merge by an ulp,
 //   * the pruned selective workload must beat the full fan-out wall-clock
 //     (this holds on any core count: pruning removes work instead of
-//     spreading it).
-// --prune_out FILE writes the measurements as JSON for the CI gate
-// (tools/check_perf_gate.py --prune). The bench exits non-zero if an
-// enforced bar fails.
+//     spreading it), and
+//   * on the broad workload, where nothing prunes, pruning may cost at
+//     most 1.25x the full fan-out (the zone-map consultation is noise).
+// --gate_out FILE writes the rows for tools/check_perf_gate.py.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -225,89 +225,32 @@ BENCHMARK(BM_MergedCount)
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --prune_out FILE before google-benchmark sees argv.
-  std::string prune_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--prune_out") == 0 && i + 1 < argc) {
-      prune_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   auto& f = PruningFixture::Get();
-  const bool identical = VerifyBitwiseIdentical();
-
-  struct Row {
-    double pruned_ns, full_ns, avg_pruned;
-  };
-  Row rows[3];
+  gate.Record("shards", kShards);
+  gate.Record("rows", f.table->num_rows());
+  gate.Enforce("identical", VerifyBitwiseIdentical() ? 1 : 0, "==", 1);
+  // Pruning removes work on the selective workload (w = 0), so its win
+  // holds on any core count; on broad (w = 2) nothing prunes, so the
+  // zone-map consultation itself must be noise.
   for (size_t w = 0; w < 3; ++w) {
-    rows[w].pruned_ns = MeasureNsPerQuery(f.workload(w), true);
-    rows[w].full_ns = MeasureNsPerQuery(f.workload(w), false);
-    rows[w].avg_pruned = AvgPrunedShards(f.workload(w));
-  }
-
-  // Pruning removes work instead of spreading it, so the selective win is
-  // enforceable on any core count.
-  const bool selective_wins = rows[0].pruned_ns < rows[0].full_ns;
-
-  std::printf("zone-map shard pruning (%zu rows, S=%zu, attribute "
-              "partitioning on A0):\n",
-              f.table->num_rows(), kShards);
-  std::printf("  bitwise pruned == full: %s\n", identical ? "ok" : "FAIL");
-  for (size_t w = 0; w < 3; ++w) {
-    std::printf("  %-9s pruned %8.0f ns/query   full %8.0f ns/query   "
-                "(%.2fx, %.1f/%zu shards pruned)\n",
-                kWorkloadNames[w], rows[w].pruned_ns, rows[w].full_ns,
-                rows[w].full_ns / std::max(rows[w].pruned_ns, 1.0),
-                rows[w].avg_pruned, kShards);
-  }
-  if (!selective_wins) {
-    std::printf("  FAIL: pruned selective fan-out is not faster than the "
-                "full fan-out\n");
-  }
-
-  if (!prune_out.empty()) {
-    FILE* out = std::fopen(prune_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --prune_out file: %s\n",
-                   prune_out.c_str());
-      return 1;
+    const std::string name = kWorkloadNames[w];
+    const double pruned_ns = MeasureNsPerQuery(f.workload(w), true);
+    const double full_ns = MeasureNsPerQuery(f.workload(w), false);
+    if (w == 0) {
+      gate.Enforce(name + ".pruned_ns", pruned_ns, "<", full_ns);
+    } else {
+      gate.Record(name + ".pruned_ns", pruned_ns);
     }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"shards\": %zu,\n"
-                 "  \"rows\": %zu,\n"
-                 "  \"identical\": %s,\n",
-                 kShards, f.table->num_rows(), identical ? "true" : "false");
-    for (size_t w = 0; w < 3; ++w) {
-      std::fprintf(out,
-                   "  \"%s\": {\"pruned_ns\": %.1f, \"full_ns\": %.1f, "
-                   "\"speedup\": %.3f, \"avg_pruned_shards\": %.2f},\n",
-                   kWorkloadNames[w], rows[w].pruned_ns, rows[w].full_ns,
-                   rows[w].full_ns / std::max(rows[w].pruned_ns, 1.0),
-                   rows[w].avg_pruned);
-    }
-    std::fprintf(out, "  \"pass\": %s\n}\n",
-                 (identical && selective_wins) ? "true" : "false");
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --prune_out file: %s\n",
-                   prune_out.c_str());
-      return 1;
+    gate.Record(name + ".full_ns", full_ns);
+    gate.Record(name + ".speedup", full_ns / std::max(pruned_ns, 1.0));
+    gate.Record(name + ".avg_pruned_shards", AvgPrunedShards(f.workload(w)));
+    if (w == 2) {
+      gate.Enforce(name + ".pruned_over_full",
+                   pruned_ns / std::max(full_ns, 1.0), "<=", 1.25);
     }
   }
-  if (!identical || !selective_wins) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  if (!gate.Write()) return 1;
+  return RunBenchmarks(argc, argv);
 }

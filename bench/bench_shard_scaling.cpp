@@ -6,22 +6,20 @@
 // an S-shard build on a multi-core box should beat the single-shard build
 // wall-clock while answering with the same merged totals.
 //
-// Before benchmarks run, a verification pass gates the PR's claims:
+// Before benchmarks run, a verification pass states the claims as gate
+// rows:
 //   * merged COUNT/SUM estimates and variances over a fuzzed workload must
 //     match the additive per-shard reference to <= 1e-9 relative error
 //     (they are computed by exactly that sum, so drift means the fan-out
 //     or merge plumbing broke), and
 //   * on a multi-core machine, the parallel S-shard build must be faster
 //     than the S = 1 build of the same table (on a single core the shard
-//     fan-out degrades inline, so the wall bar is recorded but not
-//     enforced — the gate JSON carries `cores` and CI's
-//     tools/check_perf_gate.py applies the same rule).
-// --shard_out FILE writes the measurements as JSON for the CI gate. The
-// bench exits non-zero if an enforced bar fails.
+//     fan-out degrades inline, so the wall time is a recorded row there,
+//     not an enforced one).
+// --gate_out FILE writes the rows for tools/check_perf_gate.py.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -236,80 +234,28 @@ BENCHMARK(BM_MergedAnswerAll)->Arg(1)->Arg(2)->Arg(kShards);
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::entropydb::bench::ApplyQuickFlag(&argc, argv);
-
-  // Consume --shard_out FILE before google-benchmark sees argv.
-  std::string shard_out;
-  int out_i = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shard_out") == 0 && i + 1 < argc) {
-      shard_out = argv[++i];
-    } else {
-      argv[out_i++] = argv[i];
-    }
-  }
-  argc = out_i;
-
+  ApplyQuickFlag(&argc, argv);
+  GateRows gate(&argc, argv);
   auto& f = ScalingFixture::Get();
   const unsigned cores = std::thread::hardware_concurrency();
+  gate.Record("cores", cores);
+  gate.Record("rows", f.table->num_rows());
+  gate.Record("shards", kShards);
 
   const double s1_seconds = BuildSeconds(*f.table, 1);
   const double sharded_seconds = BuildSeconds(*f.table, kShards);
-  const double speedup = s1_seconds / std::max(sharded_seconds, 1e-12);
+  gate.Record("build.s1_seconds", s1_seconds);
+  if (cores > 1) {
+    gate.Enforce("build.sharded_seconds", sharded_seconds, "<", s1_seconds);
+  } else {
+    gate.Record("build.sharded_seconds", sharded_seconds);
+  }
+  gate.Record("build.speedup", s1_seconds / std::max(sharded_seconds, 1e-12));
+
   const MergeErr err = MeasureMergeError();
-
-  const bool merge_ok = err.count <= 1e-9 && err.sum <= 1e-9;
-  const bool build_wins = sharded_seconds < s1_seconds;
-  // Single core: the fan-out degrades inline and does strictly more total
-  // work than one shard, so only the merge bar is enforceable locally.
-  const bool build_ok = cores <= 1 || build_wins;
-
-  std::printf("sharded build scaling (%zu rows, %u cores):\n",
-              f.table->num_rows(), cores);
-  std::printf("  S=1 build %.3fs   S=%zu build %.3fs   (%.2fx)%s\n",
-              s1_seconds, kShards, sharded_seconds, speedup,
-              cores <= 1 ? "  [wall bar not enforced on 1 core]" : "");
-  std::printf("  merged-vs-additive max rel err: count %.3g, sum %.3g "
-              "(bar 1e-9): %s\n",
-              err.count, err.sum, merge_ok ? "ok" : "FAIL");
-  if (!build_ok) {
-    std::printf("  FAIL: S=%zu parallel build is not faster than S=1\n",
-                kShards);
-  }
-
-  if (!shard_out.empty()) {
-    FILE* out = std::fopen(shard_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write --shard_out file: %s\n",
-                   shard_out.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"cores\": %u,\n"
-                 "  \"rows\": %zu,\n"
-                 "  \"shards\": %zu,\n"
-                 "  \"build\": {\"s1_seconds\": %.6f, \"sharded_seconds\": "
-                 "%.6f, \"speedup\": %.3f},\n"
-                 "  \"merge\": {\"queries\": %zu, \"count_max_rel_err\": "
-                 "%.3g, \"sum_max_rel_err\": %.3g},\n"
-                 "  \"pass\": %s\n}\n",
-                 cores, f.table->num_rows(), kShards, s1_seconds,
-                 sharded_seconds, speedup, f.workload.size(), err.count,
-                 err.sum, (merge_ok && build_ok) ? "true" : "false");
-    // A truncated gate file (full disk surfaces at flush/close) must fail
-    // HERE, not as a JSON parse error in the gate step downstream.
-    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
-      std::fprintf(stderr, "write failure on --shard_out file: %s\n",
-                   shard_out.c_str());
-      return 1;
-    }
-  }
-  if (!merge_ok || !build_ok) return 1;
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  gate.Record("merge.queries", f.workload.size());
+  gate.Enforce("merge.count_max_rel_err", err.count, "<=", 1e-9);
+  gate.Enforce("merge.sum_max_rel_err", err.sum, "<=", 1e-9);
+  if (!gate.Write()) return 1;
+  return RunBenchmarks(argc, argv);
 }

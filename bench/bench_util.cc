@@ -1,7 +1,12 @@
 #include "bench_util.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+
+#include <benchmark/benchmark.h>
 
 namespace entropydb {
 namespace bench {
@@ -165,6 +170,89 @@ std::shared_ptr<Table> ProjectTable(const Table& table,
 
 void PrintHeader(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
+}
+
+GateRows::GateRows(int* argc, char** argv) {
+  int out = 1;
+  for (int i = 1; i < *argc; ++i) {
+    if (std::strcmp(argv[i], "--gate_out") == 0 && i + 1 < *argc) {
+      path_ = argv[++i];
+    } else {
+      argv[out++] = argv[i];
+    }
+  }
+  *argc = out;
+}
+
+void GateRows::Enforce(std::string metric, double value, const char* op,
+                       double bar) {
+  rows_.push_back(Row{std::move(metric), value, op, bar});
+}
+
+void GateRows::Record(std::string metric, double value) {
+  rows_.push_back(Row{std::move(metric), value, "", 0.0});
+}
+
+namespace {
+
+/// Shortest text that reads back as `v`, so the checker compares the very
+/// doubles the bench measured; JSON has no literal for inf or NaN.
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  // Counts read as counts: 100000, not the shorter 1e+05.
+  const auto res = std::abs(v) < 1e15 && v == std::trunc(v)
+                       ? std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::fixed)
+                       : std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+
+}  // namespace
+
+bool GateRows::Write() const {
+  std::printf("gate rows:\n");
+  for (const Row& r : rows_) {
+    std::printf("  %-40s %12.6g", r.metric.c_str(), r.value);
+    if (!r.op.empty()) std::printf("  %s %.6g", r.op.c_str(), r.bar);
+    std::printf("\n");
+  }
+  if (path_.empty()) return true;
+  FILE* out = std::fopen(path_.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write --gate_out file: %s\n", path_.c_str());
+    return false;
+  }
+  std::fprintf(out, "{\"rows\": [");
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    const Row& r = rows_[i];
+    std::fprintf(out, "%s\n  {\"metric\": \"%s\", \"value\": %s",
+                 i == 0 ? "" : ",", r.metric.c_str(),
+                 JsonNumber(r.value).c_str());
+    if (!r.op.empty()) {
+      std::fprintf(out, ", \"op\": \"%s\", \"bar\": %s", r.op.c_str(),
+                   JsonNumber(r.bar).c_str());
+    }
+    std::fprintf(out, "}");
+  }
+  std::fprintf(out, "\n]}\n");
+  // A truncated gate file (full disk surfaces at flush/close) must fail
+  // HERE, not as a JSON parse error in the gate step downstream.
+  const bool write_failed = std::ferror(out) != 0;
+  if (std::fclose(out) != 0 || write_failed) {
+    std::fprintf(stderr, "write failure on --gate_out file: %s\n",
+                 path_.c_str());
+    return false;
+  }
+  return true;
+}
+
+int RunBenchmarks(int argc, char** argv) {
+  ::benchmark::Initialize(&argc, argv);
+  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  ::benchmark::RunSpecifiedBenchmarks();
+  ::benchmark::Shutdown();
+  return 0;
 }
 
 }  // namespace bench

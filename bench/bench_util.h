@@ -94,19 +94,48 @@ std::shared_ptr<Table> ProjectTable(const Table& table,
 /// Prints a labelled horizontal rule.
 void PrintHeader(const std::string& title);
 
+/// The rows a gate bench hands to tools/check_perf_gate.py. An enforced
+/// row `{metric, value, op, bar}` fails the gate unless `value op bar`
+/// holds, with op one of < <= > >= ==. A recorded row `{metric, value}`
+/// rides along for the trajectory and never fails. A bench states each
+/// bar once, as a row beside its measurement, and evaluates none itself.
+class GateRows {
+ public:
+  /// Consumes `--gate_out FILE` from argv before google-benchmark sees it.
+  GateRows(int* argc, char** argv);
+
+  void Enforce(std::string metric, double value, const char* op, double bar);
+  void Record(std::string metric, double value);
+
+  /// Prints every row, then writes `{"rows": [...]}` to the --gate_out
+  /// file if one was given; a non-finite number is written as null.
+  /// Returns false, after saying why, when the file cannot be written.
+  bool Write() const;
+
+ private:
+  struct Row {
+    std::string metric;
+    double value;
+    std::string op;  // empty for a recorded row
+    double bar;
+  };
+  std::string path_;
+  std::vector<Row> rows_;
+};
+
+/// Runs the google-benchmark suite over what is left of argv; returns the
+/// process exit status.
+int RunBenchmarks(int argc, char** argv);
+
 }  // namespace bench
 }  // namespace entropydb
 
 /// BENCHMARK_MAIN() replacement that understands --quick (see
 /// ApplyQuickFlag). Used by the benches CI runs on every push.
-#define ENTROPYDB_BENCH_MAIN()                                          \
-  int main(int argc, char** argv) {                                     \
-    ::entropydb::bench::ApplyQuickFlag(&argc, argv);                    \
-    ::benchmark::Initialize(&argc, argv);                               \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
-    ::benchmark::RunSpecifiedBenchmarks();                              \
-    ::benchmark::Shutdown();                                            \
-    return 0;                                                           \
+#define ENTROPYDB_BENCH_MAIN()                            \
+  int main(int argc, char** argv) {                       \
+    ::entropydb::bench::ApplyQuickFlag(&argc, argv);      \
+    return ::entropydb::bench::RunBenchmarks(argc, argv); \
   }
 
 #endif  // ENTROPYDB_BENCH_BENCH_UTIL_H_

@@ -9,7 +9,8 @@ one place.
 Usage:
     merge_bench.py --out BENCH_pr5.json \
         --bench bench_solver.json [--bench ...] \
-        --extra routed_vs_single_accuracy=routed_accuracy.json [--extra ...] \
+        --extra routed_vs_single_accuracy=engine_throughput_gate.json \
+        [--extra ...] \
         [--diff BENCH_pr5_baseline.json] [--diff-fail]
 
 Each --bench file lands under its filename stem; each --extra lands under
