@@ -24,7 +24,8 @@ namespace entropydb {
 struct EngineStats {
   /// Single-query Answer calls (any aggregate kind, joins, group-bys).
   uint64_t queries = 0;
-  /// AnswerAll invocations (one per micro-batch).
+  /// AnswerAll invocations (one per BATCH frame with cache misses: the
+  /// server answers a frame's misses with one AnswerAll).
   uint64_t batches = 0;
   /// Queries answered inside those batches.
   uint64_t batched_queries = 0;
@@ -113,8 +114,9 @@ class EntropyEngine {
   /// Relation arity m.
   size_t num_attributes() const { return sharded_->num_attributes(); }
 
-  /// COUNT(*) — the routed counting primitive the batcher fans out on
-  /// (bitwise the Answer(AggregateQuery::Count(q)) estimate).
+  /// COUNT(*) — the routed counting primitive, one query at a time
+  /// (bitwise the Answer(AggregateQuery::Count(q)) estimate and AnswerAll's
+  /// entry for q).
   Result<QueryEstimate> Answer(const CountingQuery& q,
                                RouteDecision* decision = nullptr) const;
 

@@ -4,9 +4,8 @@
 #include <filesystem>
 #include <sstream>
 
-#include "common/str_util.h"
 #include "engine/sharded_store.h"
-#include "storage/table_builder.h"
+#include "storage/csv.h"
 #include "storage/wal.h"
 
 namespace entropydb {
@@ -25,62 +24,6 @@ Schema SchemaFor(const std::vector<std::string>& names,
     specs[a].buckets = domains[a].size();
   }
   return Schema{std::move(specs)};
-}
-
-/// Parses one journaled CSV batch against the store's pinned domains —
-/// same dialect as storage/csv.cc, but rows must encode within the
-/// existing domains (Finish rejects unknown labels; binned values clamp
-/// to the outer buckets like every other encode).
-Result<std::shared_ptr<Table>> ParseBatch(const Schema& schema,
-                                          const std::vector<Domain>& domains,
-                                          const std::string& text,
-                                          uint64_t batch_index) {
-  const std::string where = "ingest batch " + std::to_string(batch_index);
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::Corruption("empty " + where);
-  }
-  auto header = SplitString(line, ',');
-  if (header.size() != schema.num_attributes()) {
-    return Status::InvalidArgument("CSV header arity mismatch in " + where);
-  }
-  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-    if (std::string(StripWhitespace(header[a])) != schema.attribute(a).name) {
-      return Status::InvalidArgument(
-          "CSV header field '" + header[a] + "' != store attribute '" +
-          schema.attribute(a).name + "' in " + where);
-    }
-  }
-  TableBuilder builder(schema);
-  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-    builder.SetDomain(a, domains[a]);
-  }
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (StripWhitespace(line).empty()) continue;
-    auto fields = SplitString(line, ',');
-    if (fields.size() != schema.num_attributes()) {
-      return Status::Corruption("CSV row arity mismatch at line " +
-                                std::to_string(line_no) + " of " + where);
-    }
-    std::vector<Value> row;
-    row.reserve(fields.size());
-    for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-      if (schema.attribute(a).type == AttributeType::kCategorical) {
-        row.emplace_back(std::string(StripWhitespace(fields[a])));
-      } else {
-        ASSIGN_OR_RETURN(double v, ParseDouble(fields[a]));
-        row.emplace_back(v);
-      }
-    }
-    RETURN_NOT_OK(builder.AppendRow(row));
-  }
-  if (builder.num_buffered() == 0) {
-    return Status::InvalidArgument(where + " has no rows");
-  }
-  return builder.Finish();
 }
 
 /// Seals journal record `batch_index` into shard "shard_b<i>" and flips
@@ -159,8 +102,16 @@ Result<uint64_t> SealPending(const std::string& dir,
 Result<std::shared_ptr<Table>> ParseIngestBatch(const SourceStore& donor,
                                                 const std::string& text,
                                                 uint64_t batch_index) {
-  return ParseBatch(SchemaFor(donor.attr_names(), donor.domains()),
-                    donor.domains(), text, batch_index);
+  const std::string where = "ingest batch " + std::to_string(batch_index);
+  std::istringstream in(text);
+  ASSIGN_OR_RETURN(
+      std::shared_ptr<Table> table,
+      ParseCsv(SchemaFor(donor.attr_names(), donor.domains()), in, where,
+               &donor.domains()));
+  if (table->num_rows() == 0) {
+    return Status::InvalidArgument(where + " has no rows");
+  }
+  return table;
 }
 
 std::vector<ScoredPair> InheritedPairs(const SourceStore& donor) {
@@ -204,11 +155,8 @@ Result<IngestReport> AppendBatch(const std::string& store_dir,
                    LoadShard0(store_dir, m, opts, env));
   // Validate BEFORE journaling: a malformed batch is rejected here, not
   // turned into a journal record every future replay chokes on.
-  RETURN_NOT_OK(ParseBatch(SchemaFor(shard0->attr_names(),
-                                     shard0->domains()),
-                           shard0->domains(), csv_text,
-                           wal.records.size())
-                    .status());
+  RETURN_NOT_OK(
+      ParseIngestBatch(*shard0, csv_text, wal.records.size()).status());
   if (wal.truncated_tail) {
     // A crashed append left a partial record behind the last good one.
     // Drop it BEFORE appending — new bytes after torn ones would be

@@ -69,10 +69,12 @@ Result<IngestReport> RecoverPending(const std::string& store_dir,
                                     Env* env = Env::Default());
 
 /// Parses one journaled CSV batch (header + rows) against `donor`'s
-/// schema and pinned domains — the encode every seal and every replay
-/// performs. Shared with compaction (engine/compaction.h), which
-/// re-parses the sealed records to recover batch-lineage rows, and
-/// exposed so tests can reconstruct a compaction's input exactly.
+/// schema and pinned domains (storage/csv.h's ParseCsv) — the encode
+/// every append validation, seal and replay performs; a batch with no
+/// rows is kInvalidArgument. Shared with compaction
+/// (engine/compaction.h), which re-parses the sealed records to recover
+/// batch-lineage rows, and exposed so tests can reconstruct a
+/// compaction's input exactly.
 /// `batch_index` only labels error messages.
 Result<std::shared_ptr<Table>> ParseIngestBatch(const SourceStore& donor,
                                                 const std::string& text,

@@ -160,7 +160,8 @@ Result<QueryResult> QueryRouter::Answer(const AggregateQuery& q,
   switch (q.kind) {
     case AggregateKind::kCount: {
       // COUNT runs the counting pipeline verbatim, so the aggregate
-      // surface is bitwise the batcher's answer for the same filter.
+      // surface is bitwise the counting answer (and AnswerAll's entry)
+      // for the same filter.
       ASSIGN_OR_RETURN(QueryEstimate est, Answer(q.where, &dec));
       QueryResult out;
       out.estimate = est;

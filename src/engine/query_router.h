@@ -105,7 +105,8 @@ class QueryRouter {
                                QueryEstimate* sample_est) const;
 
   /// Routes and answers one counting query across all sources — the
-  /// primitive the batcher and the COUNT aggregate share.
+  /// primitive ShardedStore::AnswerAll fans out on and the COUNT
+  /// aggregate shares.
   Result<QueryEstimate> Answer(const CountingQuery& q,
                                RouteDecision* decision = nullptr) const;
 

@@ -59,9 +59,9 @@ SourceStore::SourceStore(std::vector<StoreEntry> entries,
       widest_ = k;
     }
   }
-  sample_sources_.reserve(samples_.size());
+  sample_estimators_.reserve(samples_.size());
   for (const SampleEntry& s : samples_) {
-    sample_sources_.push_back(std::make_shared<SampleSource>(s.sample));
+    sample_estimators_.emplace_back(*s.sample);
   }
 }
 
@@ -207,13 +207,10 @@ Result<std::shared_ptr<SourceStore>> SourceStore::Build(const Table& table,
   }
   // Row-group indexes: per-sample counting sorts are independent, so they
   // fan out on the shared pool. Indexed evaluation is bitwise identical
-  // to the scan path; skipping this (sample_index = false) only changes
-  // route-time latency, never an answer.
-  if (opts.sample_index) {
-    ParallelFor(drawn_samples.size(), 2, [&](size_t i) {
-      drawn_samples[i]->index = SampleIndex::Build(*drawn_samples[i]->rows);
-    });
-  }
+  // to the scan path; the index only moves route-time latency.
+  ParallelFor(drawn_samples.size(), 2, [&](size_t i) {
+    drawn_samples[i]->index = SampleIndex::Build(*drawn_samples[i]->rows);
+  });
   std::vector<SampleEntry> samples(drawn_samples.size());
   for (size_t i = 0; i < drawn_samples.size(); ++i) {
     samples[i].sample = std::move(drawn_samples[i]);

@@ -7,10 +7,10 @@
 
 #include "common/env.h"
 #include "common/result.h"
-#include "engine/estimate_source.h"
 #include "maxent/budget_advisor.h"
 #include "maxent/summary.h"
 #include "sampling/sample.h"
+#include "sampling/sample_estimator.h"
 #include "stats/pair_selector.h"
 #include "stats/selector.h"
 #include "storage/table.h"
@@ -55,13 +55,6 @@ struct StoreOptions {
   double sample_fraction = 0.01;
   /// RNG seed for the sample draws (deterministic builds).
   uint64_t sample_seed = 1031;
-  /// Build a row-group index (sampling/sample_index.h) for every sample
-  /// companion, so selective queries touch matching row groups instead of
-  /// scanning the whole sample. Indexed and unindexed evaluation are
-  /// bitwise identical — this knob trades index memory/build time for
-  /// route-time latency only. Indexes are built in parallel and persisted
-  /// in the .eds files Save writes.
-  bool sample_index = true;
 };
 
 /// One summary of the store plus the attribute pairs it models — the
@@ -93,10 +86,11 @@ struct SampleEntry {
 /// companions are drawn after the pair ranking, stratified on the same
 /// top-ranked pairs.
 ///
-/// Sample companions carry a row-group index (sampling/sample_index.h,
-/// StoreOptions::sample_index) built in parallel at Build time; Save
-/// persists it in the .eds files, Load restores it inside the parallel
-/// load fan-out.
+/// Every sample companion Build draws or Load reads carries a row-group
+/// index (sampling/sample_index.h), built where its rows are materialized:
+/// in parallel at Build time, and inside the parallel load fan-out at Load.
+/// The index is never persisted. FromParts takes samples as given, with
+/// or without an index; answers are bitwise the same either way.
 ///
 /// Save/Load persist the whole store as a directory (one MANIFEST plus one
 /// .edb file per summary and one .eds file per sample), restoring without
@@ -126,9 +120,9 @@ class SourceStore {
   /// Number of sample companions (0 for a summary-only store).
   size_t num_samples() const { return samples_.size(); }
   const SampleEntry& sample_entry(size_t s) const { return samples_[s]; }
-  /// The servable EstimateSource over sample `s`.
-  const SampleSource& sample_source(size_t s) const {
-    return *sample_sources_[s];
+  /// The estimator that answers for sample `s`.
+  const SampleEstimator& sample_source(size_t s) const {
+    return sample_estimators_[s];
   }
 
   /// Index of the fallback summary for queries no summary covers: the
@@ -191,7 +185,9 @@ class SourceStore {
 
   std::vector<StoreEntry> entries_;
   std::vector<SampleEntry> samples_;
-  std::vector<std::shared_ptr<SampleSource>> sample_sources_;
+  /// One per sample, each referencing samples_[s].sample (heap-owned, so
+  /// the references stay valid for the store's lifetime).
+  std::vector<SampleEstimator> sample_estimators_;
   size_t widest_ = 0;
 };
 

@@ -42,7 +42,6 @@
 #include "common/timer.h"
 #include "engine/compaction.h"
 #include "engine/engine.h"
-#include "engine/estimate_source.h"
 #include "engine/ingest.h"
 #include "engine/query_router.h"
 #include "engine/sharded_store.h"

@@ -31,10 +31,10 @@ struct QueryEstimate {
   double RoundedCount() const;
 };
 
-/// The aggregate a query computes. COUNT/SUM/AVG answer from any
-/// EstimateSource; QUANTILE/TOPK derive from summary marginals at the
-/// engine facade; the JOIN kinds fuse TWO engines' models on a shared
-/// attribute (maxent/join_fusion.h).
+/// The aggregate a query computes. COUNT/SUM/AVG answer from a summary,
+/// COUNT/SUM also from a sample (SampleEstimator); QUANTILE/TOPK derive
+/// from summary marginals at the engine facade; the JOIN kinds fuse TWO
+/// engines' models on a shared attribute (maxent/join_fusion.h).
 enum class AggregateKind {
   kCount,
   kSum,
@@ -48,7 +48,7 @@ enum class AggregateKind {
 const char* AggregateKindName(AggregateKind kind);
 
 /// \brief One typed aggregate query: the single argument every answer
-/// surface — QueryAnswerer, EntropySummary, EstimateSource, QueryRouter,
+/// surface — QueryAnswerer, EntropySummary, SampleEstimator, QueryRouter,
 /// ShardedStore, EntropyEngine — takes.
 ///
 /// Build instances through the factories; unused fields keep their

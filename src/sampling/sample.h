@@ -23,13 +23,12 @@ struct WeightedSample {
   double fraction = 0.0;
   /// Display name, e.g. "Uni" or "Strat(origin,dest)".
   std::string name;
-  /// Optional row-group index (sampling/sample_index.h). When present,
+  /// Row-group index (sampling/sample_index.h). When present,
   /// SampleEstimator evaluates selective queries over the matching row
   /// groups instead of scanning every row — bitwise-identically, so
   /// carrying (or dropping) the index never changes an estimate, only its
-  /// latency. Built by SourceStore (StoreOptions::sample_index) and
-  /// persisted in the .eds file (ENTROPYDB_SAMPLE_V3), so a load restores
-  /// it without a rebuild.
+  /// latency. SourceStore::Build and LoadSample derive it from the rows;
+  /// the samplers leave it null, and so do tests wanting the scan path.
   std::shared_ptr<const SampleIndex> index;
 
   size_t size() const { return rows ? rows->num_rows() : 0; }

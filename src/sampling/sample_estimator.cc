@@ -27,6 +27,43 @@ SampleEstimator::SampleEstimator(const WeightedSample& sample)
   miss_floor_ = std::max(0.0, w_max * (w_max - 1.0));
 }
 
+Result<QueryEstimate> SampleEstimator::Answer(const CountingQuery& q) const {
+  if (q.num_attributes() != sample_.rows->num_attributes()) {
+    return Status::InvalidArgument("query arity does not match the sample");
+  }
+  return Count(q);
+}
+
+Result<QueryResult> SampleEstimator::Answer(const AggregateQuery& q) const {
+  const Table& t = *sample_.rows;
+  if (q.where.num_attributes() != t.num_attributes()) {
+    return Status::InvalidArgument("query arity does not match the sample");
+  }
+  if (q.kind == AggregateKind::kCount) {
+    QueryResult out;
+    out.estimate = Count(q.where);
+    out.count = out.estimate;
+    out.has_moments = true;
+    out.route.expected_variance = out.estimate.variance;
+    return out;
+  }
+  if (q.kind != AggregateKind::kSum) {
+    return Status::NotSupported(
+        std::string("aggregate kind ") + AggregateKindName(q.kind) +
+        " does not answer from a sample source");
+  }
+  if (q.agg_attr >= t.num_attributes() ||
+      q.weights.size() != t.domain(q.agg_attr).size()) {
+    return Status::InvalidArgument("bad aggregate attribute or weights");
+  }
+  // One matching-row pass fills both legs AND the covariance; the sum leg
+  // is bitwise what the dedicated Sum accumulator reports.
+  QueryResult out = Moments(q.agg_attr, q.weights, q.where);
+  out.estimate = out.sum;
+  out.route.expected_variance = out.estimate.variance;
+  return out;
+}
+
 bool SampleEstimator::PlanIndexed(const CountingQuery& q,
                                   IndexedPlan* plan) const {
   if (sample_.index == nullptr ||

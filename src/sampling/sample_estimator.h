@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "maxent/answerer.h"
+#include "query/aggregate.h"
 #include "query/counting_query.h"
 #include "sampling/sample.h"
 #include "sampling/sample_index.h"
@@ -36,9 +38,24 @@ namespace entropydb {
 /// been missed. The hybrid router (engine/query_router.h) therefore routes
 /// such queries back to a summary rather than trusting a silent zero; see
 /// docs/ESTIMATORS.md.
+///
+/// The two Answer overloads are the store-facing surface: a SourceStore
+/// holds one estimator per sample companion and the router calls them
+/// exactly like a summary's. The estimator references `sample`, which
+/// must outlive it.
 class SampleEstimator {
  public:
   explicit SampleEstimator(const WeightedSample& sample);
+
+  /// COUNT(*) with its expected variance, after checking the query's
+  /// arity against the sample (kInvalidArgument on mismatch).
+  Result<QueryEstimate> Answer(const CountingQuery& q) const;
+
+  /// COUNT and SUM, with the Horvitz-Thompson moment legs filled (SUM
+  /// through Moments, so its legs and covariance come from one pass).
+  /// AVG, QUANTILE, TOPK and the JOIN kinds are kNotSupported; arity and
+  /// aggregate-weight mismatches are kInvalidArgument.
+  Result<QueryResult> Answer(const AggregateQuery& q) const;
 
   /// Estimated COUNT(*) for a conjunctive query. Variance is
   /// sum w_i (w_i - 1) over matching rows, floored at MissFloor() when no

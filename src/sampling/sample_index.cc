@@ -61,41 +61,6 @@ std::shared_ptr<const SampleIndex> SampleIndex::Build(const Table& rows) {
       new SampleIndex(std::move(attrs), n));
 }
 
-Result<std::shared_ptr<const SampleIndex>> SampleIndex::FromParts(
-    const Table& rows, std::vector<AttrIndex> attrs) {
-  const size_t n = rows.num_rows();
-  if (attrs.size() != rows.num_attributes()) {
-    return Status::Corruption("sample index arity mismatch");
-  }
-  for (AttrId a = 0; a < attrs.size(); ++a) {
-    const AttrIndex& idx = attrs[a];
-    const size_t dom = rows.domain(a).size();
-    if (idx.offsets.size() != dom + 1 || idx.offsets.front() != 0 ||
-        idx.offsets.back() != n || idx.perm.size() != n) {
-      return Status::Corruption("sample index shape mismatch on attribute " +
-                                std::to_string(a));
-    }
-    for (size_t c = 0; c < dom; ++c) {
-      if (idx.offsets[c] > idx.offsets[c + 1]) {
-        return Status::Corruption(
-            "sample index offsets not monotone on attribute " +
-            std::to_string(a));
-      }
-      for (uint32_t i = idx.offsets[c]; i < idx.offsets[c + 1]; ++i) {
-        const uint32_t r = idx.perm[i];
-        if (r >= n || rows.at(r, a) != c ||
-            (i > idx.offsets[c] && idx.perm[i - 1] >= r)) {
-          return Status::Corruption(
-              "sample index group inconsistent on attribute " +
-              std::to_string(a));
-        }
-      }
-    }
-  }
-  return std::shared_ptr<const SampleIndex>(
-      new SampleIndex(std::move(attrs), n));
-}
-
 size_t SampleIndex::CandidateCount(AttrId a,
                                    const AttrPredicate& pred) const {
   const AttrIndex& idx = attrs_[a];

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/result.h"
 #include "query/counting_query.h"
 #include "storage/table.h"
 
@@ -44,17 +43,10 @@ class SampleIndex {
 
   /// Builds the index over every attribute of `rows` (counting sort per
   /// attribute: O(num_rows + domain_size), rows ascending within each
-  /// group by construction).
+  /// group by construction). This is the only way to make one: the index
+  /// is derived wherever sample rows are materialized (SourceStore::Build,
+  /// LoadSample) and never persisted.
   static std::shared_ptr<const SampleIndex> Build(const Table& rows);
-
-  /// Assembles an index from persisted parts (sample_io's .eds load),
-  /// validating the invariants Build guarantees — offsets are monotone
-  /// prefix sums ending at `num_rows`, each group's rows are ascending,
-  /// and every grouped row really carries the group's code in `rows` — so
-  /// a corrupt index file surfaces as Corruption instead of silently
-  /// perturbing estimates.
-  static Result<std::shared_ptr<const SampleIndex>> FromParts(
-      const Table& rows, std::vector<AttrIndex> attrs);
 
   size_t num_attributes() const { return attrs_.size(); }
   size_t num_rows() const { return num_rows_; }

@@ -25,12 +25,6 @@ Status SaveSample(const WeightedSample& sample, const std::string& path,
     return Status::InvalidArgument("sample has no row table");
   }
   const Table& t = *sample.rows;
-  const SampleIndex* index = sample.index.get();
-  if (index != nullptr && (index->num_attributes() != t.num_attributes() ||
-                           index->num_rows() != t.num_rows())) {
-    return Status::InvalidArgument(
-        "sample index disagrees with the sample rows");
-  }
   // The format is token-oriented (LoadSample reads names with >>): reject
   // whitespace up front instead of writing a file Load can never reopen.
   if (HasWhitespace(sample.name)) {
@@ -44,7 +38,7 @@ Status SaveSample(const WeightedSample& sample, const std::string& path,
     }
   }
   std::ostringstream out;
-  out << "ENTROPYDB_SAMPLE_V3\n";
+  out << "ENTROPYDB_SAMPLE_V4\n";
   out << "name " << (sample.name.empty() ? "sample" : sample.name) << '\n';
   out << "fraction ";
   WriteDouble(out, sample.fraction);
@@ -72,21 +66,6 @@ Status SaveSample(const WeightedSample& sample, const std::string& path,
     WriteDouble(out, sample.weights[r]);
     out << '\n';
   }
-  // Index block: per attribute, the prefix-sum group offsets and the
-  // grouped row permutation. "index 0" marks an index-less sample (built
-  // with indexing off); Load then leaves the index absent rather than
-  // second-guessing the builder.
-  out << "index " << (index != nullptr ? t.num_attributes() : 0) << '\n';
-  if (index != nullptr) {
-    for (AttrId a = 0; a < t.num_attributes(); ++a) {
-      const SampleIndex::AttrIndex& ai = index->attr(a);
-      out << "iattr " << a << "\noffsets";
-      for (uint32_t o : ai.offsets) out << ' ' << o;
-      out << "\nperm";
-      for (uint32_t p : ai.perm) out << ' ' << p;
-      out << '\n';
-    }
-  }
   if (!out.good()) {
     return Status::Internal("sample serialization failure: " + path);
   }
@@ -99,7 +78,7 @@ Result<WeightedSample> LoadSample(const std::string& path, Env* env,
                    ReadChecksummedFile(env, path, verify_checksums));
   std::istringstream in(payload);
   std::string token;
-  if (!(in >> token) || token != "ENTROPYDB_SAMPLE_V3") {
+  if (!(in >> token) || token != "ENTROPYDB_SAMPLE_V4") {
     return Status::Corruption("bad sample header in " + path);
   }
   WeightedSample sample;
@@ -167,50 +146,11 @@ Result<WeightedSample> LoadSample(const std::string& path, Env* env,
   }
   ASSIGN_OR_RETURN(sample.rows, builder.Finish());
 
-  size_t indexed = 0;
-  if (!(in >> token >> indexed) || token != "index") {
-    return Status::Corruption("bad sample index record in " + path);
+  if (in >> token) {
+    return Status::Corruption("trailing data after the sample rows in " +
+                              path);
   }
-  if (indexed == 0) return sample;  // saved with indexing off
-  if (indexed != m) {
-    return Status::Corruption("partial sample index in " + path);
-  }
-  std::vector<SampleIndex::AttrIndex> attrs(m);
-  for (size_t i = 0; i < m; ++i) {
-    size_t a = 0;
-    if (!(in >> token >> a) || token != "iattr" || a >= m) {
-      return Status::Corruption("bad sample index attribute in " + path);
-    }
-    SampleIndex::AttrIndex& ai = attrs[a];
-    if (!ai.offsets.empty()) {
-      return Status::Corruption("duplicate sample index attribute in " + path);
-    }
-    ai.offsets.resize(domains[a].size() + 1);
-    if (!(in >> token) || token != "offsets") {
-      return Status::Corruption("bad sample index offsets in " + path);
-    }
-    for (uint32_t& o : ai.offsets) {
-      if (!(in >> o)) {
-        return Status::Corruption("truncated sample index offsets in " + path);
-      }
-    }
-    ai.perm.resize(rows);
-    if (!(in >> token) || token != "perm") {
-      return Status::Corruption("bad sample index perm in " + path);
-    }
-    for (uint32_t& p : ai.perm) {
-      if (!(in >> p)) {
-        return Status::Corruption("truncated sample index perm in " + path);
-      }
-    }
-  }
-  // FromParts re-checks every invariant against the loaded rows, so a
-  // corrupt index fails the load loudly instead of skewing estimates.
-  auto index = SampleIndex::FromParts(*sample.rows, std::move(attrs));
-  if (!index.ok()) {
-    return Status::Corruption(index.status().message() + " in " + path);
-  }
-  sample.index = *index;
+  sample.index = SampleIndex::Build(*sample.rows);
   return sample;
 }
 

@@ -16,21 +16,20 @@ namespace entropydb {
 /// already are everywhere in this codebase); Save rejects offenders with
 /// InvalidArgument rather than writing a file Load cannot reopen.
 ///
-/// Format v3 appends the sample's row-group index (sample_index.h) after
-/// the row block — per attribute, the prefix-sum group offsets and the row
-/// permutation — so loads skip the rebuild. A sample without an index
-/// writes an empty index section (index 0) and loads without one. The
-/// payload ends in a CRC32C footer; writes go through `env` and are
-/// synced to stable storage before SaveSample returns.
+/// Format v4 holds the rows only: the sample's row-group index
+/// (sample_index.h) is not written, because LoadSample derives it from the
+/// rows. The payload ends in a CRC32C footer; writes go through `env` and
+/// are synced to stable storage before SaveSample returns.
 Status SaveSample(const WeightedSample& sample, const std::string& path,
                   Env* env = Env::Default());
 
 /// Restores a sample written by SaveSample. The rebuilt table carries the
 /// original domains, so query codes are position-compatible with summaries
-/// of the same relation. Only format v3 with a valid checksum footer loads
-/// (kCorruption otherwise; `verify_checksums` = false skips the CRC math
-/// but still requires the footer's presence). The persisted index is
-/// validated against the rows (Corruption on mismatch).
+/// of the same relation. Only format v4 with a valid checksum footer loads
+/// (kCorruption otherwise, trailing data after the rows included;
+/// `verify_checksums` = false skips the CRC math but still requires the
+/// footer's presence). The loaded sample always carries the index
+/// SampleIndex::Build derives from its rows.
 Result<WeightedSample> LoadSample(const std::string& path,
                                   Env* env = Env::Default(),
                                   bool verify_checksums = true);

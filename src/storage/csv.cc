@@ -33,28 +33,33 @@ Status WriteCsv(const Table& table, const std::string& path) {
   return Status::OK();
 }
 
-Result<std::shared_ptr<Table>> ReadCsv(const Schema& schema,
-                                       const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-
+Result<std::shared_ptr<Table>> ParseCsv(const Schema& schema,
+                                        std::istream& in,
+                                        const std::string& source,
+                                        const std::vector<Domain>* domains) {
   std::string line;
   if (!std::getline(in, line)) {
-    return Status::Corruption("empty CSV file: " + path);
+    return Status::Corruption("empty CSV in " + source);
   }
   auto header = SplitString(line, ',');
   if (header.size() != schema.num_attributes()) {
-    return Status::InvalidArgument("CSV header arity mismatch in " + path);
+    return Status::InvalidArgument("CSV header arity mismatch in " + source);
   }
   for (AttrId a = 0; a < schema.num_attributes(); ++a) {
     if (std::string(StripWhitespace(header[a])) != schema.attribute(a).name) {
       return Status::InvalidArgument("CSV header field '" + header[a] +
                                      "' != schema attribute '" +
-                                     schema.attribute(a).name + "'");
+                                     schema.attribute(a).name + "' in " +
+                                     source);
     }
   }
 
   TableBuilder builder(schema);
+  if (domains != nullptr) {
+    for (AttrId a = 0; a < schema.num_attributes(); ++a) {
+      builder.SetDomain(a, (*domains)[a]);
+    }
+  }
   size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
@@ -62,7 +67,7 @@ Result<std::shared_ptr<Table>> ReadCsv(const Schema& schema,
     auto fields = SplitString(line, ',');
     if (fields.size() != schema.num_attributes()) {
       return Status::Corruption("CSV row arity mismatch at line " +
-                                std::to_string(line_no));
+                                std::to_string(line_no) + " of " + source);
     }
     std::vector<Value> row;
     row.reserve(fields.size());
@@ -77,6 +82,13 @@ Result<std::shared_ptr<Table>> ReadCsv(const Schema& schema,
     RETURN_NOT_OK(builder.AppendRow(row));
   }
   return builder.Finish();
+}
+
+Result<std::shared_ptr<Table>> ReadCsv(const Schema& schema,
+                                       const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open for reading: " + path);
+  return ParseCsv(schema, in, path);
 }
 
 }  // namespace entropydb

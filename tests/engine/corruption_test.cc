@@ -288,6 +288,7 @@ TEST_F(CorruptionTest, OlderFormatHeadersAreRejected) {
       {MonoDir(), "summary_0.edb", "ENTROPYDB_SUMMARY_V1"},
       {MonoDir(), "sample_0.eds", "ENTROPYDB_SAMPLE_V1"},
       {MonoDir(), "sample_0.eds", "ENTROPYDB_SAMPLE_V2"},
+      {MonoDir(), "sample_0.eds", "ENTROPYDB_SAMPLE_V3"},
   };
   for (const Case& c : cases) {
     ASSERT_TRUE(EntropyEngine::Open(c.pristine).ok()) << c.pristine;

@@ -2,14 +2,12 @@
 // invariants, the candidate hand-over (one group's slice or the row
 // bitmap), bitwise identity of indexed vs. scan Count/Sum/Moments
 // (randomized predicates over stratified + uniform samples, and every
-// branch of the indexed walk), .eds round trips, typed rejection of a
-// corrupt persisted index, and COUNT/SUM/AVG routing-decision identity
-// between an indexed and an unindexed store.
+// branch of the indexed walk), and COUNT/SUM/AVG routing-decision
+// identity between an indexed store and the same store with every
+// sample's index stripped. Deriving the index at load is covered in
+// sample_io_test.cc.
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -19,14 +17,11 @@
 #include "engine/source_store.h"
 #include "sampling/sample_estimator.h"
 #include "sampling/sample_index.h"
-#include "sampling/sample_io.h"
 #include "sampling/stratified_sampler.h"
 #include "sampling/uniform_sampler.h"
 
 namespace entropydb {
 namespace {
-
-namespace fs = std::filesystem;
 
 using testutil::RandomQuery;
 
@@ -281,123 +276,6 @@ TEST(SampleIndexTest, EveryIndexedWalkIsBitwiseTheScanIncludingMoments) {
   }
 }
 
-TEST(SampleIndexTest, FromPartsRejectsCorruptIndexes) {
-  auto table = testutil::RandomTable({5, 4}, 400, 551);
-  auto good = SampleIndex::Build(*table);
-  // Shape mismatch.
-  {
-    std::vector<SampleIndex::AttrIndex> attrs{good->attr(0)};
-    EXPECT_TRUE(SampleIndex::FromParts(*table, std::move(attrs))
-                    .status()
-                    .IsCorruption());
-  }
-  // Row in the wrong group.
-  {
-    std::vector<SampleIndex::AttrIndex> attrs{good->attr(0), good->attr(1)};
-    std::swap(attrs[0].perm[0], attrs[0].perm[attrs[0].perm.size() - 1]);
-    EXPECT_TRUE(SampleIndex::FromParts(*table, std::move(attrs))
-                    .status()
-                    .IsCorruption());
-  }
-  // Offsets not ending at the row count.
-  {
-    std::vector<SampleIndex::AttrIndex> attrs{good->attr(0), good->attr(1)};
-    attrs[1].offsets.back() -= 1;
-    EXPECT_TRUE(SampleIndex::FromParts(*table, std::move(attrs))
-                    .status()
-                    .IsCorruption());
-  }
-  // The untouched parts pass.
-  {
-    std::vector<SampleIndex::AttrIndex> attrs{good->attr(0), good->attr(1)};
-    EXPECT_TRUE(SampleIndex::FromParts(*table, std::move(attrs)).ok());
-  }
-}
-
-TEST(SampleIndexTest, EdsV2RoundTripsTheIndex) {
-  auto table = testutil::RandomTable({6, 7, 5}, 3000, 661);
-  auto drawn = StratifiedSampler::Create(*table, 0, 1, 0.08, 19);
-  ASSERT_TRUE(drawn.ok());
-  drawn->index = SampleIndex::Build(*drawn->rows);
-  const std::string path =
-      (fs::temp_directory_path() / "entropydb_sample_index_v2.eds").string();
-  fs::remove(path);
-  ASSERT_TRUE(SaveSample(*drawn, path).ok());
-  auto loaded = LoadSample(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_NE(loaded->index, nullptr);
-  ASSERT_EQ(loaded->index->num_attributes(), 3u);
-  for (AttrId a = 0; a < 3; ++a) {
-    EXPECT_EQ(loaded->index->attr(a).offsets, drawn->index->attr(a).offsets);
-    EXPECT_EQ(loaded->index->attr(a).perm, drawn->index->attr(a).perm);
-  }
-  // And the loaded estimator answers bitwise like the in-memory one.
-  SampleEstimator before(*drawn), after(*loaded);
-  Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    CountingQuery q = RandomQuery(rng, *table);
-    EXPECT_EQ(before.Count(q).expectation, after.Count(q).expectation);
-    EXPECT_EQ(before.Count(q).variance, after.Count(q).variance);
-  }
-  fs::remove(path);
-}
-
-TEST(SampleIndexTest, IndexlessSamplesSaveAsV2WithoutIndex) {
-  auto table = testutil::RandomTable({4, 4}, 500, 663);
-  auto drawn = UniformSampler::Create(*table, 0.1, 23);
-  ASSERT_TRUE(drawn.ok());
-  ASSERT_EQ(drawn->index, nullptr);
-  const std::string path =
-      (fs::temp_directory_path() / "entropydb_sample_noindex.eds").string();
-  fs::remove(path);
-  ASSERT_TRUE(SaveSample(*drawn, path).ok());
-  auto loaded = LoadSample(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // "index 0" is an explicit builder choice (--sample-index off), honored
-  // on load rather than rebuilt.
-  EXPECT_EQ(loaded->index, nullptr);
-  fs::remove(path);
-}
-
-TEST(SampleIndexTest, CorruptV2IndexFailsTheLoad) {
-  auto table = testutil::RandomTable({4, 5}, 600, 737);
-  auto drawn = StratifiedSampler::Create(*table, 0, 1, 0.1, 31);
-  ASSERT_TRUE(drawn.ok());
-  drawn->index = SampleIndex::Build(*drawn->rows);
-  const std::string path =
-      (fs::temp_directory_path() / "entropydb_sample_badidx.eds").string();
-  fs::remove(path);
-  ASSERT_TRUE(SaveSample(*drawn, path).ok());
-  // Flip one permutation entry: the row lands in a group whose code it
-  // does not carry. The load must fail loudly, not serve skewed answers.
-  // It runs with checksum verification off, so the failure exercises the
-  // index-invariant validation, not the (now stale) CRC footer.
-  {
-    std::ifstream in(path);
-    std::stringstream body;
-    body << in.rdbuf();
-    std::string text = body.str();
-    const size_t perm_at = text.find("\nperm ");
-    ASSERT_NE(perm_at, std::string::npos);
-    const size_t first = perm_at + 6;
-    const size_t end = text.find_first_of(" \n", first);
-    const uint32_t r = static_cast<uint32_t>(
-        std::stoul(text.substr(first, end - first)));
-    const uint32_t other = (r + 1) % static_cast<uint32_t>(drawn->size());
-    text.replace(first, end - first, std::to_string(other));
-    std::ofstream out(path);
-    out << text;
-  }
-  auto loaded = LoadSample(path, Env::Default(), /*verify_checksums=*/false);
-  // Either the swap broke a group invariant (the common case) or, in the
-  // degenerate case where codes happen to agree, ordering broke instead;
-  // both are Corruption.
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.status().message().find("checksum"), std::string::npos)
-      << loaded.status().ToString();
-  fs::remove(path);
-}
-
 TEST(SampleIndexTest, RoutingDecisionsAndAnswerAllIdenticalWithIndexes) {
   // Planted correlations (the hybrid-router fixture's shape): (2, 3) is
   // strongly diagonal, so its rare off-diagonal cells are exactly where a
@@ -413,20 +291,31 @@ TEST(SampleIndexTest, RoutingDecisionsAndAnswerAllIdenticalWithIndexes) {
                                      : static_cast<Code>(gen.Uniform(10));
   }
   auto table = testutil::MakeTable({8, 8, 10, 10}, raw);
-  StoreOptions with, without;
-  with.num_summaries = without.num_summaries = 2;
-  with.total_budget = without.total_budget = 160;
-  with.num_stratified_samples = without.num_stratified_samples = 2;
-  with.uniform_sample = without.uniform_sample = true;
-  with.sample_fraction = without.sample_fraction = 0.05;
-  with.summary.solver.max_iterations =
-      without.summary.solver.max_iterations = 80;
-  with.sample_index = true;
-  without.sample_index = false;
-  auto indexed = SourceStore::Build(*table, with);
-  auto scan = SourceStore::Build(*table, without);
+  StoreOptions opts;
+  opts.num_summaries = 2;
+  opts.total_budget = 160;
+  opts.num_stratified_samples = 2;
+  opts.uniform_sample = true;
+  opts.sample_fraction = 0.05;
+  opts.summary.solver.max_iterations = 80;
+  auto indexed = SourceStore::Build(*table, opts);
   ASSERT_TRUE(indexed.ok());
-  ASSERT_TRUE(scan.ok());
+  // The scan reference: the indexed store's own summaries and samples,
+  // each sample with its index stripped.
+  std::vector<StoreEntry> entries;
+  for (size_t k = 0; k < (*indexed)->size(); ++k) {
+    entries.push_back((*indexed)->entry(k));
+  }
+  std::vector<SampleEntry> stripped;
+  for (size_t s = 0; s < (*indexed)->num_samples(); ++s) {
+    SampleEntry entry = (*indexed)->sample_entry(s);
+    auto sample = std::make_shared<WeightedSample>(*entry.sample);
+    sample->index = nullptr;
+    entry.sample = std::move(sample);
+    stripped.push_back(std::move(entry));
+  }
+  auto scan = SourceStore::FromParts(std::move(entries), std::move(stripped));
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   ASSERT_GT((*indexed)->num_samples(), 0u);
   for (size_t s = 0; s < (*indexed)->num_samples(); ++s) {
     EXPECT_NE((*indexed)->sample_entry(s).sample->index, nullptr);

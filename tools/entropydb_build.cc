@@ -24,10 +24,7 @@
 // top-ranked pairs (and --uniform on a uniform Bernoulli sample) and
 // persists them alongside the summaries; the query router then answers
 // each query from whichever source — summary or sample — expects the
-// lower variance (docs/ESTIMATORS.md). Each companion carries a row-group
-// index by default (persisted in the .eds files) so selective queries
-// skip the full sample scan; --sample-index off disables it — answers are
-// bitwise identical either way, only route-time latency changes.
+// lower variance (docs/ESTIMATORS.md).
 // --shards N partitions the rows into N shards (--shard-scheme rr|hash)
 // and builds EVERY shard's summaries + samples in parallel with the same
 // per-shard knobs; the store persists as a MANIFEST v4 directory that
@@ -96,7 +93,7 @@ void Usage() {
       "                       [--pairs auto|a:b,c:d] [--ba N] [--budget N]\n"
       "                       [--summaries K] [--advisor on]\n"
       "                       [--samples S] [--sample-fraction F]\n"
-      "                       [--uniform on] [--sample-index on|off]\n"
+      "                       [--uniform on]\n"
       "                       [--shards N] [--shard-scheme rr|hash]\n"
       "                       [--heuristic composite|large|zero]\n"
       "                       [--iterations N]\n"
@@ -167,8 +164,6 @@ int main(int argc, char** argv) {
       iopts.sample_fraction = std::stod(args["sample-fraction"]);
     }
     iopts.uniform_sample = args.count("uniform") && args["uniform"] != "off";
-    iopts.sample_index =
-        !args.count("sample-index") || args["sample-index"] != "off";
     if (args.count("iterations")) {
       iopts.summary.solver.max_iterations = std::stoul(args["iterations"]);
     }
@@ -405,11 +400,6 @@ int main(int argc, char** argv) {
       sopts.sample_fraction = std::stod(args["sample-fraction"]);
     }
     sopts.uniform_sample = args.count("uniform") && args["uniform"] != "off";
-    // Row-group indexes over the sample companions (default on): indexed
-    // and scan evaluation are bitwise identical, so this only trades
-    // build time + store size for route-time latency.
-    sopts.sample_index =
-        !args.count("sample-index") || args["sample-index"] != "off";
     if (args.count("iterations")) {
       sopts.summary.solver.max_iterations = std::stoul(args["iterations"]);
     }
@@ -497,9 +487,8 @@ int main(int argc, char** argv) {
     }
     for (size_t s = 0; s < (*store)->num_samples(); ++s) {
       const WeightedSample& smp = *(*store)->sample_entry(s).sample;
-      std::printf("  sample %zu: %s, %zu rows (fraction %.3g)%s\n", s,
-                  smp.name.c_str(), smp.size(), smp.fraction,
-                  smp.index != nullptr ? "  [indexed]" : "");
+      std::printf("  sample %zu: %s, %zu rows (fraction %.3g)\n", s,
+                  smp.name.c_str(), smp.size(), smp.fraction);
     }
     Status s = (*store)->Save(save_path);
     if (!s.ok()) {
