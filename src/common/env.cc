@@ -269,7 +269,7 @@ Status WriteChecksummedFile(Env* env, const std::string& path,
 }
 
 Result<std::string> ReadChecksummedFile(Env* env, const std::string& path,
-                                        bool verify) {
+                                        bool verify, uint32_t* footer_crc) {
   std::string contents;
   RETURN_NOT_OK(env->ReadFile(path, &contents));
   if (contents.size() < kFooterSize ||
@@ -279,17 +279,18 @@ Result<std::string> ReadChecksummedFile(Env* env, const std::string& path,
     return Status::Corruption("missing checksum footer in " + path);
   }
   const size_t footer_at = contents.size() - kFooterSize;
+  const std::string hex =
+      contents.substr(footer_at + sizeof(kFooterTag) - 1, 8);
+  char* end = nullptr;
+  const auto stored =
+      static_cast<uint32_t>(std::strtoul(hex.c_str(), &end, 16));
   if (verify) {
-    const std::string hex =
-        contents.substr(footer_at + sizeof(kFooterTag) - 1, 8);
-    char* end = nullptr;
-    const unsigned long stored = std::strtoul(hex.c_str(), &end, 16);
     const std::string_view payload(contents.data(), footer_at);
-    if (end != hex.c_str() + 8 ||
-        crc32c::Value(payload) != static_cast<uint32_t>(stored)) {
+    if (end != hex.c_str() + 8 || crc32c::Value(payload) != stored) {
       return Status::Corruption("checksum mismatch in " + path);
     }
   }
+  if (footer_crc != nullptr) *footer_crc = stored;
   contents.resize(footer_at);
   return contents;
 }

@@ -1,6 +1,7 @@
 #ifndef ENTROPYDB_COMMON_ENV_H_
 #define ENTROPYDB_COMMON_ENV_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -115,8 +116,11 @@ Status WriteChecksummedFile(Env* env, const std::string& path,
 /// carries one, so a file without it was truncated or never ours.
 /// `verify` = false skips the CRC computation (bench_durability's
 /// checksums-off mode) but still requires and strips the footer.
+/// `footer_crc` (optional) receives the CRC32C the footer records —
+/// checked against the payload when `verify` is on.
 Result<std::string> ReadChecksummedFile(Env* env, const std::string& path,
-                                        bool verify = true);
+                                        bool verify = true,
+                                        uint32_t* footer_crc = nullptr);
 
 // ---------------------------------------------------------------------
 // Atomic directory publication.

@@ -53,7 +53,8 @@ std::shared_ptr<EntropyEngine> EntropyEngine::FromSharded(
 }
 
 Result<std::shared_ptr<EntropyEngine>> EntropyEngine::Open(
-    const std::string& path, SummaryOptions opts, Env* env) {
+    const std::string& path, SummaryOptions opts, Env* env,
+    const ShardedStore* share) {
   if (std::filesystem::is_directory(path)) {
     if (VersionSet::IsVersionedRoot(path, env)) {
       // Resolve the atomic CURRENT pointer to the live version's store
@@ -68,11 +69,11 @@ Result<std::shared_ptr<EntropyEngine>> EntropyEngine::Open(
         return Status::FailedPrecondition(
             "versioned root has no published version: " + path);
       }
-      return Open(versions->CurrentDir(), opts, env);
+      return Open(versions->CurrentDir(), opts, env, share);
     }
     if (ShardedStore::IsShardedDir(path, env)) {
       ASSIGN_OR_RETURN(std::shared_ptr<ShardedStore> sharded,
-                       ShardedStore::Load(path, opts, env));
+                       ShardedStore::Load(path, opts, env, share));
       return FromSharded(std::move(sharded));
     }
     ASSIGN_OR_RETURN(std::shared_ptr<SourceStore> store,

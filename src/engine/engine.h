@@ -86,10 +86,14 @@ class EntropyEngine {
   /// directory first, so callers point at the root and transparently read
   /// whatever version is live; to time-travel, open a retained
   /// "root/v<id>" directly. Checksums are verified unless
-  /// `opts.verify_checksums` is off; all I/O goes through `env`.
-  static Result<std::shared_ptr<EntropyEngine>> Open(const std::string& path,
-                                                     SummaryOptions opts = {},
-                                                     Env* env = Env::Default());
+  /// `opts.verify_checksums` is off; all I/O goes through `env`. A
+  /// sharded store reuses every shard of `share` whose files are the
+  /// ones it would load (ShardedStore::Load): a server passes the store
+  /// of the engine it has live, so opening the next version loads only
+  /// the shards that version added.
+  static Result<std::shared_ptr<EntropyEngine>> Open(
+      const std::string& path, SummaryOptions opts = {},
+      Env* env = Env::Default(), const ShardedStore* share = nullptr);
 
   /// Number of row-shards (1 for engines over a summary or a monolithic
   /// store).

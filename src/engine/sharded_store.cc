@@ -30,6 +30,27 @@ std::string ManifestPayload(const ShardedStore::Manifest& m) {
   return out.str();
 }
 
+/// The identity ShardedStore::Load keys shard reuse on: the shard's
+/// manifest name, then one "<file> <payload bytes> <crc32c>" line per
+/// file of its directory. An inode would not do: once retention GC frees
+/// a retired version's files, a later rebuild can publish a shard of the
+/// same name with other rows on a reused inode.
+Result<std::string> ShardIdentity(Env* env, const std::string& shard_dir,
+                                  const std::string& name, bool verify) {
+  ASSIGN_OR_RETURN(std::vector<std::string> files, env->List(shard_dir));
+  std::string id = name + "\n";
+  for (const std::string& file : files) {
+    uint32_t crc = 0;
+    ASSIGN_OR_RETURN(
+        std::string payload,
+        ReadChecksummedFile(env, (fs::path(shard_dir) / file).string(),
+                            verify, &crc));
+    id += file + " " + std::to_string(payload.size()) + " " +
+          std::to_string(crc) + "\n";
+  }
+  return id;
+}
+
 /// Accumulates one shard's estimate into the merged answer. Disjoint row
 /// partitions with independently fit models: expectations and variances
 /// are both additive.
@@ -43,6 +64,7 @@ void MergeInto(QueryEstimate* merged, const QueryEstimate& shard) {
 ShardedStore::ShardedStore(std::vector<std::shared_ptr<SourceStore>> shards,
                            PartitionScheme scheme, AttrId partition_attr)
     : shards_(std::move(shards)),
+      identities_(shards_.size()),
       scheme_(scheme),
       partition_attr_(partition_attr) {
   routers_.reserve(shards_.size());
@@ -447,7 +469,8 @@ bool ShardedStore::IsShardedDir(const std::string& dir, Env* env) {
 }
 
 Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(
-    const std::string& dir, SummaryOptions opts, Env* env) {
+    const std::string& dir, SummaryOptions opts, Env* env,
+    const ShardedStore* share) {
   RemoveStaleStagingDirs(env, dir);
   ASSIGN_OR_RETURN(Manifest m,
                    ReadManifest(dir, env, opts.verify_checksums));
@@ -461,19 +484,32 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(
   // rules can't drift.
   SweepStaleEntries(env, dir, {"shard_", "MANIFEST.tmp"},
                     /*keep=*/m.shard_dirs);
+  std::map<std::string, std::shared_ptr<SourceStore>> shareable;
+  if (share != nullptr) {
+    for (size_t s = 0; s < share->num_shards(); ++s) {
+      shareable.emplace(share->identities_[s], share->shards_[s]);
+    }
+  }
   const size_t ns = m.shard_dirs.size();
   // Shard loads are independent (each is a full store load, itself
   // parallel inside), so fan out across shards too.
   std::vector<std::shared_ptr<SourceStore>> shards(ns);
+  std::vector<std::string> identities(ns);
   std::vector<Status> statuses(ns, Status::OK());
   ParallelFor(ns, 2, [&](size_t s) {
-    auto loaded = SourceStore::Load((fs::path(dir) / m.shard_dirs[s]).string(),
-                                    opts, env);
-    if (!loaded.ok()) {
-      statuses[s] = loaded.status();
-      return;
-    }
-    shards[s] = *loaded;
+    const std::string shard_dir = (fs::path(dir) / m.shard_dirs[s]).string();
+    statuses[s] = [&]() -> Status {
+      ASSIGN_OR_RETURN(identities[s],
+                       ShardIdentity(env, shard_dir, m.shard_dirs[s],
+                                     opts.verify_checksums));
+      const auto it = shareable.find(identities[s]);
+      if (it != shareable.end()) {
+        shards[s] = it->second;
+        return Status::OK();
+      }
+      ASSIGN_OR_RETURN(shards[s], SourceStore::Load(shard_dir, opts, env));
+      return Status::OK();
+    }();
   });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
@@ -483,6 +519,7 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(
     return Status::Corruption("inconsistent sharded store in " + dir + ": " +
                               store.status().message());
   }
+  (*store)->identities_ = std::move(identities);
   (*store)->compaction_gen_ = m.compaction_gen;
   return store;
 }

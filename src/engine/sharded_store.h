@@ -221,9 +221,21 @@ class ShardedStore {
   /// replaced ones — either way the orphans' rows are journal-backed
   /// (or about to be rebuilt from the journal), so removal never loses
   /// data.
-  static Result<std::shared_ptr<ShardedStore>> Load(const std::string& dir,
-                                                    SummaryOptions opts = {},
-                                                    Env* env = Env::Default());
+  ///
+  /// Every shard's identity is read first: its manifest name plus, for
+  /// each file of its directory, the name, payload size and CRC32C, read
+  /// through ReadChecksummedFile (so a corrupt file fails here as it
+  /// would in the load). A shard of `share` — a store Load returned
+  /// earlier with the same `opts`, such as the version a server has live
+  /// — with an equal identity is reused as the same SourceStore object
+  /// instead of being loaded again; every other shard loads. Versions
+  /// cloned from one another hard-link their unchanged shards, so opening
+  /// the next version loads only what it added. Answers are bitwise a
+  /// cold load's: a SourceStore is immutable apart from its thread-safe
+  /// workspace caches. With `share` null nothing is reused.
+  static Result<std::shared_ptr<ShardedStore>> Load(
+      const std::string& dir, SummaryOptions opts = {},
+      Env* env = Env::Default(), const ShardedStore* share = nullptr);
 
   /// True when `dir` holds a v4-sharded manifest — the dispatch test
   /// EntropyEngine::Open uses.
@@ -249,6 +261,9 @@ class ShardedStore {
                       AnswerFn&& answer) const;
 
   std::vector<std::shared_ptr<SourceStore>> shards_;
+  /// Shard s's identity as Load read it (see Load); empty for a shard
+  /// built in memory, which no loaded shard's identity equals.
+  std::vector<std::string> identities_;
   std::vector<QueryRouter> routers_;
   /// One slot per shard, derived in the constructor.
   std::vector<std::shared_ptr<const ZoneMap>> zone_maps_;

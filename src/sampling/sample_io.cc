@@ -144,7 +144,14 @@ Result<WeightedSample> LoadSample(const std::string& path, Env* env,
     }
     builder.AppendEncodedRow(row);
   }
-  ASSIGN_OR_RETURN(sample.rows, builder.Finish());
+  // The footer vouches for the bytes, not for the codes: a stored code
+  // outside its attribute's domain is a corrupt file, not a bad argument.
+  auto table = builder.Finish();
+  if (!table.ok()) {
+    return Status::Corruption("bad sample rows in " + path + ": " +
+                              table.status().message());
+  }
+  sample.rows = std::move(table).ValueOrDie();
 
   if (in >> token) {
     return Status::Corruption("trailing data after the sample rows in " +

@@ -294,17 +294,11 @@ Result<std::string> QueryServer::HandleRequest(Session* session,
   return Status::Internal("unhandled command");
 }
 
-Result<std::pair<std::shared_ptr<EntropyEngine>, uint64_t>>
-QueryServer::ResolveEngine(Session* session) {
-  if (session->pinned != nullptr) {
-    return std::make_pair(session->pinned, session->pinned_version);
-  }
-  if (catalog_ == nullptr) {
-    return std::make_pair(static_engine_, uint64_t{0});
-  }
-  const uint64_t id = catalog_->current();
-  ASSIGN_OR_RETURN(std::shared_ptr<EntropyEngine> engine, catalog_->Pin(id));
-  return std::make_pair(std::move(engine), id);
+VersionCatalog::Snapshot QueryServer::ResolveEngine(
+    const Session& session) const {
+  if (session.pinned.engine != nullptr) return session.pinned;
+  if (catalog_ == nullptr) return {0, static_engine_};
+  return catalog_->Live();
 }
 
 Result<std::string> QueryServer::AnswerCached(
@@ -321,12 +315,12 @@ Result<std::string> QueryServer::AnswerCached(
 
 Result<std::string> QueryServer::HandleQuery(Session* session,
                                              const Request& req) {
-  ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
-  const std::shared_ptr<EntropyEngine>& engine = resolved.first;
+  const VersionCatalog::Snapshot resolved = ResolveEngine(*session);
+  const std::shared_ptr<EntropyEngine>& engine = resolved.engine;
   ASSIGN_OR_RETURN(
       ParsedQuery parsed,
       ParseQuery(req.query, engine->attr_names(), engine->domains()));
-  return AnswerCached(req, resolved.second, CanonicalQueryKey(parsed), [&] {
+  return AnswerCached(req, resolved.id, CanonicalQueryKey(parsed), [&] {
     return engine->Answer(ToAggregateQuery(parsed, engine->domains()));
   });
 }
@@ -337,8 +331,8 @@ Result<std::string> QueryServer::HandleJoin(Session* session,
     return Status::FailedPrecondition(
         "server has no join relation (start with --join <path>)");
   }
-  ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
-  const std::shared_ptr<EntropyEngine>& engine = resolved.first;
+  const VersionCatalog::Snapshot resolved = ResolveEngine(*session);
+  const std::shared_ptr<EntropyEngine>& engine = resolved.engine;
   ASSIGN_OR_RETURN(
       ParsedJoinQuery parsed,
       ParseJoinQuery(req.query, engine->attr_names(), engine->domains(),
@@ -346,7 +340,7 @@ Result<std::string> QueryServer::HandleJoin(Session* session,
   // The right-side engine is loaded once at startup and immutable, so the
   // left version alone still keys the cache correctly.
   const std::string key = CanonicalJoinQueryKey(parsed);
-  return AnswerCached(req, resolved.second, key, [&] {
+  return AnswerCached(req, resolved.id, key, [&] {
     const AggregateQuery query = ToAggregateQuery(parsed, engine->domains());
     return engine->AnswerJoin(query, *join_engine_);
   });
@@ -354,9 +348,9 @@ Result<std::string> QueryServer::HandleJoin(Session* session,
 
 Result<std::string> QueryServer::HandleBatch(Session* session,
                                              const Request& req) {
-  ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
-  const std::shared_ptr<EntropyEngine>& engine = resolved.first;
-  const uint64_t version = resolved.second;
+  const VersionCatalog::Snapshot resolved = ResolveEngine(*session);
+  const std::shared_ptr<EntropyEngine>& engine = resolved.engine;
+  const uint64_t version = resolved.id;
 
   // Parse everything before answering anything: a malformed query fails
   // the whole batch without burning answer work.
@@ -404,25 +398,23 @@ Result<std::string> QueryServer::HandleOpen(Session* session,
     if (req.version != 0) {
       return Status::FailedPrecondition("served store is not versioned");
     }
-    session->pinned = nullptr;
-    session->pinned_version = 0;
+    session->pinned = {};
     return EncodeOkResponse({"version 0"});
   }
   RETURN_NOT_OK(catalog_->Refresh().status());
   if (req.version == 0) {
-    session->pinned = nullptr;
-    session->pinned_version = 0;
+    session->pinned = {};
     return EncodeOkResponse(
         {"version " + std::to_string(catalog_->current())});
   }
-  ASSIGN_OR_RETURN(session->pinned, catalog_->Pin(req.version));
-  session->pinned_version = req.version;
+  ASSIGN_OR_RETURN(session->pinned.engine, catalog_->Pin(req.version));
+  session->pinned.id = req.version;
   return EncodeOkResponse({"version " + std::to_string(req.version)});
 }
 
 Result<std::string> QueryServer::HandleStats(Session* session) {
-  ASSIGN_OR_RETURN(auto resolved, ResolveEngine(session));
-  const EngineStats engine = resolved.first->stats();
+  const VersionCatalog::Snapshot resolved = ResolveEngine(*session);
+  const EngineStats engine = resolved.engine->stats();
   const ResultCache::Stats cache = cache_.stats();
   const QueryBatcher::Stats gate = gate_.stats();
   const Stats server = stats();
@@ -432,7 +424,7 @@ Result<std::string> QueryServer::HandleStats(Session* session) {
   lines.push_back(
       "retained " +
       JoinIds(catalog_ ? catalog_->versions() : std::vector<uint64_t>{}));
-  lines.push_back("n " + std::to_string(resolved.first->n()));
+  lines.push_back("n " + std::to_string(resolved.engine->n()));
   lines.push_back("queries " + std::to_string(engine.queries));
   lines.push_back("batches " + std::to_string(engine.batches));
   lines.push_back("batched_queries " +

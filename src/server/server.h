@@ -26,11 +26,13 @@ namespace entropydb {
 /// One server process serves one store path. A *versioned root*
 /// (storage/version_set.h) serves its CURRENT version live, lets sessions
 /// OPEN any retained version for snapshot-pinned reads (time travel), and
-/// picks up externally published versions on OPEN/VERSION commands — a
-/// publish is a pointer flip, so readers never block on writers and a
-/// session pinned on v(n) keeps answering from v(n)'s immutable files
-/// while v(n+1) goes live. A plain store directory or summary file is
-/// served too, just without version commands.
+/// picks up externally published versions on OPEN/VERSION commands. The
+/// next version opens beside the live one, sharing its unchanged shards,
+/// and goes live only once it opened (server/version_catalog.h), so
+/// unpinned readers never wait for a publish, and a session pinned on
+/// v(n) keeps answering from v(n)'s immutable files while v(n+1) goes
+/// live. A plain store directory or summary file is served too, just
+/// without version commands.
 ///
 /// Request flow per session (one thread per open connection; sessions are
 /// independent, and the accept loop joins the ones that ended): frame
@@ -112,9 +114,8 @@ class QueryServer {
 
   /// Per-session pin state.
   struct Session {
-    /// Engine pinned by OPEN <id>; null = follow live.
-    std::shared_ptr<EntropyEngine> pinned;
-    uint64_t pinned_version = 0;
+    /// Version pinned by OPEN <id>; a null engine follows live.
+    VersionCatalog::Snapshot pinned;
   };
 
   /// One accepted connection. Its session sets `fd` to -1 under
@@ -132,9 +133,9 @@ class QueryServer {
   /// an ERR response in the caller.
   Result<std::string> HandleRequest(Session* session, const Request& req);
   /// The engine a session's queries answer against, plus its version id
-  /// (0 when unversioned).
-  Result<std::pair<std::shared_ptr<EntropyEngine>, uint64_t>> ResolveEngine(
-      Session* session);
+  /// (0 when unversioned): the session's pin, else the catalog's live
+  /// pair under one short lock. Never opens or reads a file.
+  VersionCatalog::Snapshot ResolveEngine(const Session& session) const;
   /// The QUERY/JOIN response for the query cached under (version, key):
   /// the cached result, or `answer()` through the admission gate and
   /// cached when it succeeds.

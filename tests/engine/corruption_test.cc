@@ -302,5 +302,31 @@ TEST_F(CorruptionTest, OlderFormatHeadersAreRejected) {
   }
 }
 
+TEST_F(CorruptionTest, OutOfDomainSampleCodeIsCorruption) {
+  // A stored row code equal to its attribute's domain size, under a
+  // valid footer: the bytes are intact, the content is not.
+  const std::string dir = Clone(MonoDir());
+  const std::string path = dir + "/sample_0.eds";
+  auto payload = ReadChecksummedFile(Env::Default(), path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const size_t rows = payload->find("\nrows ");
+  ASSERT_NE(rows, std::string::npos);
+  const size_t row0 = payload->find('\n', rows + 1) + 1;
+  const size_t code_end = payload->find(' ', row0);
+  ASSERT_NE(code_end, std::string::npos);
+  // A0's domain holds 6 codes (TwoPairTable).
+  const std::string mutated =
+      payload->substr(0, row0) + "6" + payload->substr(code_end);
+  ASSERT_TRUE(WriteChecksummedFile(Env::Default(), path, mutated).ok());
+
+  auto opened = EntropyEngine::Open(dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("sample_0.eds"),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
 }  // namespace
 }  // namespace entropydb
