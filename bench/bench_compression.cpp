@@ -90,8 +90,9 @@ int main() {
       "\npaper shape: the persisted summary (statistics + solved variables) "
       "is\norders of magnitude below |Tup|, below the sample, and far below "
       "the\ndata. The in-memory figure additionally includes the "
-      "inclusion-exclusion\ngroup closure, which is rebuilt from the file "
-      "on load — the analogue of\nthe paper storing variables in Postgres "
-      "(600 KB) and the factorization\nseparately (200 MB text).\n");
+      "inclusion-exclusion\ngroup closure and its per-code stab lists, "
+      "both rebuilt from the file on\nload — the analogue of the paper "
+      "storing variables in Postgres (600 KB)\nand the factorization "
+      "separately (200 MB text).\n");
   return 0;
 }

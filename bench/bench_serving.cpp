@@ -46,11 +46,14 @@ namespace fs = std::filesystem;
 
 // Domains big enough that answering a query means real maxent work (the
 // cache bar compares model evaluations against a map probe — on a tiny
-// model the socket round trip would dominate both sides): all three
-// pairs modelled, so every attribute lands in one connected component
-// and each evaluation walks every statistic of every shard model. The
-// statistic count only materializes when shards OBSERVE that many
-// distinct cells, hence the 100k-row floor on the fixture.
+// model the socket round trip would dominate both sides). Each shard
+// holds three one-pair summaries (num_summaries = 3); a single-attribute
+// range covers no pair, so each shard evaluates only its widest summary.
+// The pool's broad ranges pin no attribute to one code, so every such
+// evaluation walks all of that summary's groups: the pinned-code stab
+// lists (maxent/polynomial.h) do not move the cache bar. The statistic
+// count only materializes when shards OBSERVE that many distinct cells,
+// hence the 100k-row floor on the fixture.
 constexpr uint32_t kD0 = 96;
 constexpr uint32_t kD1 = 64;
 constexpr uint32_t kD2 = 24;

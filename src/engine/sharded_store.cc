@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 
 #include "common/thread_pool.h"
@@ -34,9 +35,12 @@ std::string ManifestPayload(const ShardedStore::Manifest& m) {
 /// manifest name, then one "<file> <payload bytes> <crc32c>" line per
 /// file of its directory. An inode would not do: once retention GC frees
 /// a retired version's files, a later rebuild can publish a shard of the
-/// same name with other rows on a reused inode.
-Result<std::string> ShardIdentity(Env* env, const std::string& shard_dir,
-                                  const std::string& name, bool verify) {
+/// same name with other rows on a reused inode. The payloads read on the
+/// way go to `*payloads`, by file name, so a shard that is not reused
+/// loads from them instead of reading its files again.
+Result<std::string> ShardIdentity(
+    Env* env, const std::string& shard_dir, const std::string& name,
+    bool verify, std::map<std::string, std::string>* payloads) {
   ASSIGN_OR_RETURN(std::vector<std::string> files, env->List(shard_dir));
   std::string id = name + "\n";
   for (const std::string& file : files) {
@@ -47,6 +51,7 @@ Result<std::string> ShardIdentity(Env* env, const std::string& shard_dir,
                             verify, &crc));
     id += file + " " + std::to_string(payload.size()) + " " +
           std::to_string(crc) + "\n";
+    (*payloads)[file] = std::move(payload);
   }
   return id;
 }
@@ -499,15 +504,33 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(
   ParallelFor(ns, 2, [&](size_t s) {
     const std::string shard_dir = (fs::path(dir) / m.shard_dirs[s]).string();
     statuses[s] = [&]() -> Status {
+      std::map<std::string, std::string> payloads;
       ASSIGN_OR_RETURN(identities[s],
                        ShardIdentity(env, shard_dir, m.shard_dirs[s],
-                                     opts.verify_checksums));
+                                     opts.verify_checksums, &payloads));
       const auto it = shareable.find(identities[s]);
       if (it != shareable.end()) {
         shards[s] = it->second;
         return Status::OK();
       }
-      ASSIGN_OR_RETURN(shards[s], SourceStore::Load(shard_dir, opts, env));
+      // The sweep above already removed this shard's staging siblings.
+      // Each payload moves out of the map as its file loads, so it is
+      // freed once parsed; the loads may run on several threads.
+      std::mutex payloads_mu;
+      ASSIGN_OR_RETURN(
+          shards[s],
+          SourceStore::LoadFrom(
+              shard_dir, opts,
+              [&](const std::string& file) -> Result<std::string> {
+                std::lock_guard<std::mutex> lock(payloads_mu);
+                auto node = payloads.extract(file);
+                if (node.empty()) {
+                  return Status::IOError("cannot read " + file + " in " +
+                                         shard_dir +
+                                         ": missing, or named twice");
+                }
+                return std::move(node.mapped());
+              }));
       return Status::OK();
     }();
   });

@@ -228,7 +228,9 @@ class ShardedStore {
   /// would in the load). A shard of `share` — a store Load returned
   /// earlier with the same `opts`, such as the version a server has live
   /// — with an equal identity is reused as the same SourceStore object
-  /// instead of being loaded again; every other shard loads. Versions
+  /// instead of being loaded again; every other shard loads from the
+  /// payloads that pass read (SourceStore::LoadFrom), so either way each
+  /// file of a shard is read and checked once. Versions
   /// cloned from one another hard-link their unchanged shards, so opening
   /// the next version loads only what it added. Answers are bitwise a
   /// cold load's: a SourceStore is immutable apart from its thread-safe

@@ -263,10 +263,16 @@ Status SourceStore::Save(const std::string& dir, Env* env) const {
 Result<std::shared_ptr<SourceStore>> SourceStore::Load(
     const std::string& dir, SummaryOptions opts, Env* env) {
   RemoveStaleStagingDirs(env, dir);
-  const std::string manifest_path = (fs::path(dir) / "MANIFEST").string();
-  ASSIGN_OR_RETURN(std::string payload,
-                   ReadChecksummedFile(env, manifest_path,
-                                       opts.verify_checksums));
+  return LoadFrom(dir, opts, [&](const std::string& file) {
+    return ReadChecksummedFile(env, (fs::path(dir) / file).string(),
+                               opts.verify_checksums);
+  });
+}
+
+Result<std::shared_ptr<SourceStore>> SourceStore::LoadFrom(
+    const std::string& dir, SummaryOptions opts,
+    const std::function<Result<std::string>(const std::string&)>& read) {
+  ASSIGN_OR_RETURN(std::string payload, read("MANIFEST"));
   std::istringstream in(payload);
   std::string token;
   if (!(in >> token) || token != "ENTROPYDB_STORE_V4") {
@@ -310,24 +316,20 @@ Result<std::shared_ptr<SourceStore>> SourceStore::Load(
   // polynomial and warms its own pool), so fan them all out.
   std::vector<Status> statuses(k + ns, Status::OK());
   ParallelFor(k + ns, 2, [&](size_t i) {
-    if (i < k) {
-      auto loaded = EntropySummary::Load((fs::path(dir) / files[i]).string(),
-                                         opts, env);
-      if (!loaded.ok()) {
-        statuses[i] = loaded.status();
-        return;
+    statuses[i] = [&]() -> Status {
+      const std::string& file = i < k ? files[i] : sample_files[i - k];
+      ASSIGN_OR_RETURN(std::string contents, read(file));
+      const std::string path = (fs::path(dir) / file).string();
+      if (i < k) {
+        ASSIGN_OR_RETURN(entries[i].summary,
+                         EntropySummary::Parse(contents, path, opts));
+      } else {
+        ASSIGN_OR_RETURN(WeightedSample sample, ParseSample(contents, path));
+        samples[i - k].sample =
+            std::make_shared<WeightedSample>(std::move(sample));
       }
-      entries[i].summary = *loaded;
-    } else {
-      auto loaded = LoadSample((fs::path(dir) / sample_files[i - k]).string(),
-                               env, opts.verify_checksums);
-      if (!loaded.ok()) {
-        statuses[i] = loaded.status();
-        return;
-      }
-      samples[i - k].sample = std::make_shared<WeightedSample>(
-          std::move(loaded).ValueOrDie());
-    }
+      return Status::OK();
+    }();
   });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;

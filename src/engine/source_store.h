@@ -1,6 +1,7 @@
 #ifndef ENTROPYDB_ENGINE_SOURCE_STORE_H_
 #define ENTROPYDB_ENGINE_SOURCE_STORE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -165,6 +166,15 @@ class SourceStore {
   static Result<std::shared_ptr<SourceStore>> Load(const std::string& dir,
                                                    SummaryOptions opts = {},
                                                    Env* env = Env::Default());
+  /// Load over files already read: `read(file)` returns the payload of
+  /// `dir`'s file `file` as ReadChecksummedFile would. It is called once
+  /// per file the manifest names, from several threads at once.
+  /// ShardedStore::Load passes the payloads its identity pass read and
+  /// verified, so a loaded shard reads each file once. Removes no staging
+  /// directories.
+  static Result<std::shared_ptr<SourceStore>> LoadFrom(
+      const std::string& dir, SummaryOptions opts,
+      const std::function<Result<std::string>(const std::string&)>& read);
 
   /// Assembles a summary-only store from already-built summaries (also
   /// handy for tests). Entries must be non-empty and agree on the arity,

@@ -185,7 +185,34 @@ Result<CompressedPolynomial> CompressedPolynomial::Build(
     remaining -= comp.num_groups();
   }
 
-  // 4. Position lookups for derivative passes.
+  // 4. Stab lists: per attribute position, the groups whose interval
+  // contains each code, ascending (a counting sort over `rects`).
+  for (auto& comp : poly.components_) {
+    const size_t nattrs = comp.attrs.size();
+    const size_t ng = comp.num_groups();
+    comp.stab_offset.resize(nattrs);
+    comp.stab_groups.resize(nattrs);
+    for (size_t i = 0; i < nattrs; ++i) {
+      std::vector<uint64_t>& off = comp.stab_offset[i];
+      off.assign(size_t{poly.domain_sizes_[comp.attrs[i]]} + 1, 0);
+      for (size_t g = 0; g < ng; ++g) {
+        const Interval& iv = comp.rects[g * nattrs + i];
+        for (Code v = iv.lo; v <= iv.hi; ++v) ++off[v + 1];
+      }
+      for (size_t v = 1; v < off.size(); ++v) off[v] += off[v - 1];
+      std::vector<uint32_t>& groups = comp.stab_groups[i];
+      groups.resize(off.back());
+      std::vector<uint64_t> cursor(off.begin(), off.end() - 1);
+      for (size_t g = 0; g < ng; ++g) {
+        const Interval& iv = comp.rects[g * nattrs + i];
+        for (Code v = iv.lo; v <= iv.hi; ++v) {
+          groups[cursor[v]++] = static_cast<uint32_t>(g);
+        }
+      }
+    }
+  }
+
+  // 5. Position lookups for derivative passes.
   poly.attr_local_.assign(m, 0);
   for (size_t c = 0; c < poly.components_.size(); ++c) {
     for (size_t i = 0; i < poly.components_[c].attrs.size(); ++i) {
@@ -680,6 +707,32 @@ double CompressedPolynomial::OuterProduct(const EvalContext& ctx,
 // Workspace tier.
 // ---------------------------------------------------------------------
 
+template <typename PinFn, typename VisitFn>
+void CompressedPolynomial::ForEachReachableGroup(const Component& comp,
+                                                 size_t skip_pos,
+                                                 const PinFn& pin,
+                                                 const VisitFn& visit) {
+  bool pinned = false;
+  const uint32_t* list = nullptr;
+  uint64_t len = 0;
+  for (size_t i = 0; i < comp.attrs.size(); ++i) {
+    if (i == skip_pos) continue;
+    const Code v = pin(i);
+    if (v == kNoPin) continue;
+    const uint64_t* off = comp.stab_offset[i].data();
+    if (!pinned || off[v + 1] - off[v] < len) {
+      pinned = true;
+      list = comp.stab_groups[i].data() + off[v];
+      len = off[v + 1] - off[v];
+    }
+  }
+  if (!pinned) {
+    for (size_t g = 0; g < comp.num_groups(); ++g) visit(g);
+    return;
+  }
+  for (uint64_t k = 0; k < len; ++k) visit(list[k]);
+}
+
 const CompressedPolynomial::EvalContext& CompressedPolynomial::PrepareWorkspace(
     const ModelState& state, EvalWorkspace* ws) const {
   const size_t m = domain_sizes_.size();
@@ -724,6 +777,7 @@ const CompressedPolynomial::EvalContext& CompressedPolynomial::PrepareWorkspace(
 
   if (!ws->scratch_ready_) {
     ws->attr_masked_.assign(m, 0);
+    ws->pin_.assign(m, kNoPin);
     ws->constrained_.clear();
     ws->masked_prefix_.resize(m);
     ws->eff_total_ = ws->cache_->unmasked.attr_total;
@@ -740,6 +794,7 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
   // Reset the previous mask's per-attribute residue.
   for (AttrId a : ws->constrained_) {
     ws->attr_masked_[a] = 0;
+    ws->pin_[a] = kNoPin;
     ws->eff_total_[a] = fc.unmasked.attr_total[a];
   }
   ws->constrained_.clear();
@@ -754,9 +809,16 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
     ws->attr_masked_[a] = 1;
     const auto& alpha = state.alpha[a];
     ws->buf_.assign(alpha.size(), 0.0);
+    size_t num_allowed = 0;
+    Code last_allowed = 0;
     for (Code v = 0; v < alpha.size(); ++v) {
-      if (mask.Allows(a, v)) ws->buf_[v] = alpha[v];
+      if (mask.Allows(a, v)) {
+        ws->buf_[v] = alpha[v];
+        ++num_allowed;
+        last_allowed = v;
+      }
     }
+    ws->pin_[a] = num_allowed == 1 ? last_allowed : kNoPin;
     ws->masked_prefix_[a].Build(ws->buf_);
     ws->eff_total_[a] = ws->masked_prefix_[a].Total();
   }
@@ -790,6 +852,7 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
         masked_pos = i;
       }
     }
+    const auto pin = [&](size_t i) { return ws->pin_[comp.attrs[i]]; };
     double total = base;
     if (num_masked == 1) {
       // One constrained attribute: every other factor of every group is
@@ -797,18 +860,18 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
       // group is one multiply-add.
       const PrefixSum& ps = ws->masked_prefix_[comp.attrs[masked_pos]];
       const double* cof = fc.skip_cof[c].data();
-      for (size_t g = 0; g < comp.num_groups(); ++g) {
+      ForEachReachableGroup(comp, SIZE_MAX, pin, [&](size_t g) {
         const double sc = cof[g * nattrs + masked_pos];
-        if (sc == 0.0) continue;
+        if (sc == 0.0) return;
         const Interval& iv = comp.rects[g * nattrs + masked_pos];
         total += sc * ps.RangeSum(iv.lo, iv.hi);
-      }
+      });
     } else {
       const std::vector<double>& dps = fc.delta_prod[c];
       const double* factors = fc.rs_factor[c].data();
-      for (size_t g = 0; g < comp.num_groups(); ++g) {
+      ForEachReachableGroup(comp, SIZE_MAX, pin, [&](size_t g) {
         double prod = dps[g];
-        if (prod == 0.0) continue;
+        if (prod == 0.0) return;
         const Interval* rect = &comp.rects[g * nattrs];
         for (size_t i = 0; i < nattrs; ++i) {
           const AttrId a = comp.attrs[i];
@@ -818,7 +881,7 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
           if (prod == 0.0) break;
         }
         total += prod;
-      }
+      });
     }
     out.comp_value[c] = total;
   }
@@ -875,9 +938,10 @@ std::vector<double> CompressedPolynomial::MaskedAlphaDerivatives(
   } else {
     const std::vector<double>& dps = fc.delta_prod[c];
     const double* factors = fc.rs_factor[c].data();
-    for (size_t g = 0; g < comp.num_groups(); ++g) {
+    const auto pin = [&](size_t i) { return ws->pin_[comp.attrs[i]]; };
+    ForEachReachableGroup(comp, pos, pin, [&](size_t g) {
       double cof = dps[g];
-      if (cof == 0.0) continue;
+      if (cof == 0.0) return;
       const Interval* rect = &comp.rects[g * nattrs];
       for (size_t i = 0; i < nattrs; ++i) {
         if (i == pos) continue;
@@ -888,7 +952,7 @@ std::vector<double> CompressedPolynomial::MaskedAlphaDerivatives(
         if (cof == 0.0) break;
       }
       if (cof != 0.0) diff.RangeAdd(rect[pos].lo, rect[pos].hi, cof);
-    }
+    });
   }
   std::vector<double> out = diff.Finalize();
   for (double& v : out) v *= outer;
@@ -955,25 +1019,29 @@ double CompressedPolynomial::PointOverrideValue(
         }
       }
     }
+    // A key pins its position; so does the mask's own one-code pin.
+    const auto pin = [&](size_t i) {
+      Code v;
+      return key_code(comp.attrs[i], &v) ? v : ws->pin_[comp.attrs[i]];
+    };
     double total = base;
     if (num_special == 1 && special_is_key) {
-      // One keyed attribute, nothing else constrained: each group is the
-      // cached skip-position cofactor times a point lookup.
+      // One keyed attribute, nothing else constrained: each group on the
+      // key's stab list is the cached skip-position cofactor times a point
+      // lookup.
       const AttrId a = comp.attrs[special_pos];
       const double alpha_v = state.alpha[a][special_code];
       const double* cof = fc.skip_cof[c].data();
-      for (size_t g = 0; g < comp.num_groups(); ++g) {
+      ForEachReachableGroup(comp, SIZE_MAX, pin, [&](size_t g) {
         const double sc = cof[g * nattrs + special_pos];
-        if (sc == 0.0) continue;
-        const Interval& iv = comp.rects[g * nattrs + special_pos];
-        if (iv.Contains(special_code)) total += sc * alpha_v;
-      }
+        if (sc != 0.0) total += sc * alpha_v;
+      });
     } else {
       const std::vector<double>& dps = fc.delta_prod[c];
       const double* factors = fc.rs_factor[c].data();
-      for (size_t g = 0; g < comp.num_groups(); ++g) {
+      ForEachReachableGroup(comp, SIZE_MAX, pin, [&](size_t g) {
         double prod = dps[g];
-        if (prod == 0.0) continue;
+        if (prod == 0.0) return;
         const Interval* rect = &comp.rects[g * nattrs];
         for (size_t i = 0; i < nattrs; ++i) {
           const AttrId a = comp.attrs[i];
@@ -988,7 +1056,7 @@ double CompressedPolynomial::PointOverrideValue(
           if (prod == 0.0) break;
         }
         total += prod;
-      }
+      });
     }
     value *= total;
   }
@@ -1023,6 +1091,8 @@ size_t CompressedPolynomial::MemoryBytes() const {
     bytes += comp.stats_flat.size() * sizeof(uint32_t);
     bytes += comp.stats_offset.size() * sizeof(uint32_t);
     for (const auto& v : comp.stat_groups) bytes += v.size() * sizeof(uint32_t);
+    for (const auto& v : comp.stab_offset) bytes += v.size() * sizeof(uint64_t);
+    for (const auto& v : comp.stab_groups) bytes += v.size() * sizeof(uint32_t);
   }
   bytes += delta_local_.size() * sizeof(uint32_t);
   bytes += attr_local_.size() * sizeof(size_t);

@@ -202,23 +202,36 @@ class CompressedPolynomial {
   /// components reuse the cached unmasked value, and every delta-factor
   /// product comes from the workspace cache. The common interactive query
   /// constrains 1-3 attributes of many, making this far cheaper than
-  /// Evaluate. Leaves per-attribute masked state in `ws` for the
+  /// Evaluate.
+  ///
+  /// A constrained attribute the mask pins to exactly one code v (a point,
+  /// a one-code IN set, BETWEEN v AND v) narrows its component's walk to
+  /// the groups whose interval contains v: the shortest such stab list
+  /// among the pinned attributes. Every other group has an exact-zero
+  /// factor, so the value is bitwise the full walk's. A point query then
+  /// costs O(groups stabbed by the pin) instead of O(all groups); range
+  /// masks still walk every group of the touched components. Leaves
+  /// per-attribute masked state (pins included) in `ws` for the
   /// *AlphaDerivatives / PointOverrideValue follow-ups below.
   MaskedEval MaskedEvaluate(const ModelState& state, const QueryMask& mask,
                             EvalWorkspace* ws) const;
 
   /// Per-value dP[mask]/dalpha_{a,v} via one cofactor pass over `a`'s
   /// component. `eval` must come from a MaskedEvaluate of the same mask on
-  /// `ws`, with attribute `a` unconstrained (the group-by convention).
+  /// `ws`, with attribute `a` unconstrained (the group-by convention). When
+  /// another attribute of the component is pinned, the pass visits only the
+  /// groups its shortest stab list names (never `a`'s own, whose cofactor
+  /// spans every code); otherwise it visits every group.
   std::vector<double> MaskedAlphaDerivatives(const ModelState& state,
                                              const MaskedEval& eval, AttrId a,
                                              EvalWorkspace* ws) const;
 
   /// P under `eval`'s mask with each attrs[i] pinned to the single code
   /// codes[i] (overriding the mask on those attributes) — the group-by-keys
-  /// fast path: O(groups of the touched components) per key, no prefix
-  /// rebuilds. `eval` must come from a MaskedEvaluate of the same mask on
-  /// `ws`.
+  /// fast path, with no prefix rebuilds. Keys and the mask's own pins both
+  /// pin: per key, a touched component costs O(groups on the shortest of
+  /// its pinned positions' stab lists), not O(all its groups). `eval` must
+  /// come from a MaskedEvaluate of the same mask on `ws`.
   double PointOverrideValue(const ModelState& state, const MaskedEval& eval,
                             const std::vector<AttrId>& attrs,
                             const std::vector<Code>& codes,
@@ -238,7 +251,8 @@ class CompressedPolynomial {
   size_t CompressedSize() const;
   /// Monomial count of the uncompressed SOP polynomial: |Tup| = prod N_i.
   double UncompressedTermCount() const;
-  /// Approximate heap footprint of the compressed structure in bytes.
+  /// Approximate heap footprint of the compressed structure in bytes, the
+  /// stab lists included.
   size_t MemoryBytes() const;
 
   /// Largest number of statistics in any compatible set (max |S|).
@@ -247,6 +261,9 @@ class CompressedPolynomial {
  private:
   friend class EvalWorkspace;
   friend class ComponentSweep;
+
+  /// A position with no pinned code (see ForEachReachableGroup).
+  static constexpr Code kNoPin = UINT32_MAX;
 
   struct Component {
     std::vector<AttrId> attrs;      ///< sorted attribute ids
@@ -258,9 +275,27 @@ class CompressedPolynomial {
     std::vector<uint32_t> stats_offset;  ///< size num_groups()+1
     /// Per global stat id (local order of `stats`): groups containing it.
     std::vector<std::vector<uint32_t>> stat_groups;
+    /// Per attribute position i, a CSR stab list derived from `rects`: the
+    /// groups whose interval at i contains code v are
+    /// stab_groups[i][stab_offset[i][v] .. stab_offset[i][v + 1]), in
+    /// ascending order. The offsets are 64-bit because a position's list
+    /// holds sum_g width_g(i) entries. Built once, never persisted, and
+    /// shared read-only by every workspace.
+    std::vector<std::vector<uint64_t>> stab_offset;
+    std::vector<std::vector<uint32_t>> stab_groups;
 
     size_t num_groups() const { return stats_offset.size() - 1; }
   };
+
+  /// Calls visit(g), in ascending order, for each group on the shortest
+  /// stab list among the positions i != skip_pos where pin(i) returns a
+  /// code (not kNoPin), or for every group of `comp` when no such
+  /// position exists. A group left out has an exact-zero interval factor
+  /// at that pinned position, which the callers' loops would drop anyway,
+  /// so their sums are bitwise those of the full walk.
+  template <typename PinFn, typename VisitFn>
+  static void ForEachReachableGroup(const Component& comp, size_t skip_pos,
+                                    const PinFn& pin, const VisitFn& visit);
 
   /// Recursively extends a compatible set with higher-indexed statistics.
   Status EnumerateGroups(const VariableRegistry& reg, Component* comp,
@@ -429,6 +464,9 @@ class EvalWorkspace {
   std::vector<uint8_t> attr_masked_;     ///< per attribute: constrained?
   std::vector<AttrId> constrained_;      ///< the constrained attributes
   std::vector<PrefixSum> masked_prefix_; ///< built only for constrained ones
+  /// Per attribute: the one code the mask allows, or
+  /// CompressedPolynomial::kNoPin (unconstrained, or several codes).
+  std::vector<Code> pin_;
   std::vector<double> eff_total_;        ///< per attribute: T_i under mask
   std::vector<double> buf_;              ///< masked-alpha scratch
   std::vector<uint8_t> comp_scratch_;    ///< per component: touched flags

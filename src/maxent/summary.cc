@@ -122,6 +122,12 @@ Result<std::shared_ptr<EntropySummary>> EntropySummary::Load(
     const std::string& path, SummaryOptions opts, Env* env) {
   ASSIGN_OR_RETURN(std::string payload,
                    ReadChecksummedFile(env, path, opts.verify_checksums));
+  return Parse(payload, path, opts);
+}
+
+Result<std::shared_ptr<EntropySummary>> EntropySummary::Parse(
+    const std::string& payload, const std::string& path,
+    SummaryOptions opts) {
   std::istringstream in(payload);
   std::string token;
   if (!(in >> token) || token != "ENTROPYDB_SUMMARY_V2") {

@@ -130,6 +130,11 @@ class EntropySummary {
   static Result<std::shared_ptr<EntropySummary>> Load(
       const std::string& path, SummaryOptions opts = {},
       Env* env = Env::Default());
+  /// Load without the read: restores a summary from `payload`, what
+  /// ReadChecksummedFile returned for `path` (which errors name).
+  static Result<std::shared_ptr<EntropySummary>> Parse(
+      const std::string& payload, const std::string& path,
+      SummaryOptions opts = {});
 
  private:
   EntropySummary(VariableRegistry reg, CompressedPolynomial poly,

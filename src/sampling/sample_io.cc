@@ -76,6 +76,11 @@ Result<WeightedSample> LoadSample(const std::string& path, Env* env,
                                   bool verify_checksums) {
   ASSIGN_OR_RETURN(std::string payload,
                    ReadChecksummedFile(env, path, verify_checksums));
+  return ParseSample(payload, path);
+}
+
+Result<WeightedSample> ParseSample(const std::string& payload,
+                                   const std::string& path) {
   std::istringstream in(payload);
   std::string token;
   if (!(in >> token) || token != "ENTROPYDB_SAMPLE_V4") {

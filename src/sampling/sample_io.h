@@ -34,6 +34,11 @@ Result<WeightedSample> LoadSample(const std::string& path,
                                   Env* env = Env::Default(),
                                   bool verify_checksums = true);
 
+/// LoadSample without the read: restores a sample from `payload`, what
+/// ReadChecksummedFile returned for `path` (which errors name).
+Result<WeightedSample> ParseSample(const std::string& payload,
+                                   const std::string& path);
+
 }  // namespace entropydb
 
 #endif  // ENTROPYDB_SAMPLING_SAMPLE_IO_H_

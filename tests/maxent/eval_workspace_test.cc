@@ -37,10 +37,13 @@ QueryMask RandomMask(const VariableRegistry& reg, uint64_t seed,
     if (!rng.NextBernoulli(p_constrained)) continue;
     uint32_t n = reg.domain_size(a);
     std::vector<uint8_t> allow(n, 0);
-    if (rng.NextBernoulli(0.5)) {
+    const uint64_t shape = rng.Uniform(3);
+    if (shape == 0) {
       Code lo = static_cast<Code>(rng.Uniform(n));
       Code hi = lo + static_cast<Code>(rng.Uniform(n - lo));
       for (Code v = lo; v <= hi; ++v) allow[v] = 1;
+    } else if (shape == 1) {
+      allow[rng.Uniform(n)] = 1;  // a pin: the stab-list walks
     } else {
       for (Code v = 0; v < n; ++v) allow[v] = rng.NextBernoulli(0.6);
     }
@@ -69,6 +72,77 @@ Fixture MakeSetup(uint64_t seed) {
   EXPECT_TRUE(poly.ok());
   ModelState st = RandomState(reg, seed + 3);
   return Fixture{std::move(reg), std::move(*poly), std::move(st)};
+}
+
+/// One attribute pair with disjoint statistics, so each group is one
+/// statistic; code 5 of A0 lies in no statistic, and A2 is free.
+Fixture MakePairSetup(uint64_t seed) {
+  auto table = RandomTable({6, 5, 4}, 400, seed);
+  ExactEvaluator exact(*table);
+  auto stat = [&](Interval i0, Interval i1) {
+    CountingQuery q(table->num_attributes());
+    q.Where(0, AttrPredicate::Range(i0.lo, i0.hi));
+    q.Where(1, AttrPredicate::Range(i1.lo, i1.hi));
+    return Make2DStatistic(0, i0, 1, i1, static_cast<double>(exact.Count(q)));
+  };
+  auto reg = MakeRegistry(*table, {stat({0, 1}, {0, 2}), stat({2, 3}, {1, 4}),
+                                   stat({0, 1}, {3, 4}), stat({4, 4}, {0, 0})});
+  auto poly = CompressedPolynomial::Build(reg);
+  EXPECT_TRUE(poly.ok());
+  ModelState st = RandomState(reg, seed + 1);
+  return Fixture{std::move(reg), std::move(*poly), std::move(st)};
+}
+
+/// Pins each attribute, in turn, to every code of its domain over a random
+/// background mask (which may pin others too) and checks the pinned walks
+/// against the reference paths: the masked value, every other attribute's
+/// group-by cofactors, and its point-override value at each code. A range
+/// on the same attribute follows each pin, so a stale pin would surface.
+void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
+  const size_t m = s.reg.num_attributes();
+  EvalWorkspace ws;
+  for (AttrId a = 0; a < m; ++a) {
+    const uint32_t na = s.reg.domain_size(a);
+    for (Code v = 0; v < na; ++v) {
+      QueryMask mask = RandomMask(s.reg, seed + 64 * a + v, 0.4);
+      std::vector<uint8_t> one(na, 0);
+      one[v] = 1;
+      mask.Restrict(a, std::move(one));
+      ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
+                  s.poly.Evaluate(s.state, mask).value, "pinned value");
+      for (AttrId b = 0; b < m; ++b) {
+        if (b == a) continue;
+        const uint32_t nb = s.reg.domain_size(b);
+        QueryMask by = mask;
+        by.Restrict(b, std::vector<uint8_t>(nb, 1));
+        const auto eval = s.poly.MaskedEvaluate(s.state, by, &ws);
+        const auto got = s.poly.MaskedAlphaDerivatives(s.state, eval, b, &ws);
+        const auto want =
+            s.poly.AlphaDerivatives(s.state, s.poly.Evaluate(s.state, by), b);
+        for (Code w = 0; w < nb; ++w) {
+          ExpectClose(got[w], want[w], "pinned group-by cofactor");
+          QueryMask point = by;
+          std::vector<uint8_t> key(nb, 0);
+          key[w] = 1;
+          point.Restrict(b, std::move(key));
+          ExpectClose(s.poly.PointOverrideValue(s.state, eval, {b}, {w}, &ws),
+                      s.poly.Evaluate(s.state, point).value,
+                      "pinned point override");
+        }
+      }
+      std::vector<uint8_t> range(na, 0);
+      range[v] = 1;
+      range[v == 0 ? 1 : v - 1] = 1;
+      mask.Restrict(a, std::move(range));
+      ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
+                  s.poly.Evaluate(s.state, mask).value, "range after a pin");
+    }
+  }
+}
+
+TEST(EvalWorkspaceTest, PinnedWalksMatchReferenceOnEveryCode) {
+  ExpectPinnedWalksMatchReference(MakeSetup(117), 3000);
+  ExpectPinnedWalksMatchReference(MakePairSetup(118), 4000);
 }
 
 TEST(EvalWorkspaceTest, MaskedEvaluateMatchesFreshAcrossRandomMasks) {

@@ -1,6 +1,7 @@
 // VersionCatalog (server/version_catalog.h): opening the next version
 // reuses every shard the live engine already holds with identical files
-// and loads only the rest, answers stay bitwise those of a cold open, a
+// and loads only the rest, every file is read once either way, answers
+// stay bitwise those of a cold open, a
 // full rebuild under the same shard names shares nothing, a version that
 // fails to open never goes live, and an unpinned query issued while a
 // refresh is opening answers from the live version without waiting.
@@ -221,10 +222,22 @@ class VersionCatalogTest : public ::testing::Test {
     return engine.ok() ? *engine : nullptr;
   }
 
-  /// Reads of shard `name`'s MANIFEST in version `id`: one when the open
-  /// reused the shard (its identity read), two when it loaded it.
+  /// Reads of shard `name`'s MANIFEST in version `id`: one whether the
+  /// open reused the shard (its identity read) or loaded it (from the
+  /// identity pass's payloads).
   size_t ManifestReads(uint64_t id, const std::string& name) const {
     return env_.Reads(Dir(id) + "/" + name + "/MANIFEST");
+  }
+
+  /// True when the open read every file of shard `name` in version `id`
+  /// exactly once.
+  bool EachFileReadOnce(uint64_t id, const std::string& name) const {
+    size_t files = 0;
+    for (const auto& entry : fs::directory_iterator(Dir(id) + "/" + name)) {
+      ++files;
+      if (env_.Reads(entry.path().string()) != 1) return false;
+    }
+    return files > 0;
   }
 
   /// Every query kind, AnswerAll and a group-by on `got` equal a cold
@@ -321,7 +334,9 @@ TEST_F(VersionCatalogTest, AppendReusesTheLiveShardsAndLoadsOnlyTheNewOne) {
   EXPECT_EQ(std::count(before.begin(), before.end(), after[2]), 0);
   EXPECT_EQ(ManifestReads(2, "shard_0"), 1u);
   EXPECT_EQ(ManifestReads(2, "shard_1"), 1u);
-  EXPECT_EQ(ManifestReads(2, "shard_b0"), 2u);
+  EXPECT_EQ(ManifestReads(2, "shard_b0"), 1u);
+  EXPECT_TRUE(EachFileReadOnce(2, "shard_0"));
+  EXPECT_TRUE(EachFileReadOnce(2, "shard_b0"));
 
   // A refresh with nothing new published keeps the pair.
   auto again = catalog->Refresh();
@@ -360,7 +375,7 @@ TEST_F(VersionCatalogTest, CompactionBetweenRefreshesStillReusesLiveShards) {
   EXPECT_EQ(after[1], before[1]);
   EXPECT_EQ(ManifestReads(3, "shard_0"), 1u);
   EXPECT_EQ(ManifestReads(3, "shard_1"), 1u);
-  EXPECT_EQ(ManifestReads(3, fresh), 2u);
+  EXPECT_EQ(ManifestReads(3, fresh), 1u);
   ExpectAnswersLikeColdOpen(*v3.engine, 3);
 }
 
@@ -388,8 +403,10 @@ TEST_F(VersionCatalogTest, FullRebuildUnderTheSameShardNamesSharesNothing) {
   for (const SourceStore* shard : Shards(*v2.engine)) {
     EXPECT_EQ(std::count(before.begin(), before.end(), shard), 0);
   }
-  EXPECT_EQ(ManifestReads(2, "shard_0"), 2u);
-  EXPECT_EQ(ManifestReads(2, "shard_1"), 2u);
+  EXPECT_EQ(ManifestReads(2, "shard_0"), 1u);
+  EXPECT_EQ(ManifestReads(2, "shard_1"), 1u);
+  EXPECT_TRUE(EachFileReadOnce(2, "shard_0"));
+  EXPECT_TRUE(EachFileReadOnce(2, "shard_1"));
   ExpectAnswersLikeColdOpen(*v2.engine, 2);
 }
 
