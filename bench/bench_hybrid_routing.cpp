@@ -219,6 +219,25 @@ int main(int argc, char** argv) {
   gate.Enforce("broad.routed_err", brd.routed, "<", brd.sample);
   gate.Record("broad.routed_to_sample", brd.routed_to_sample);
   gate.Enforce("broad.routing_mismatch", brd.max_routing_mismatch, "==", 0.0);
+  // What routing costs where the summary wins: routed answers (coverage,
+  // the summary, and the companion's bounded challenge walk) against the
+  // summary alone. Recorded for the trajectory, not enforced.
+  const QueryRouter router(f.store);
+  auto routed = [&] {
+    for (const auto& q : f.broad) {
+      auto e = router.Answer(q);
+      benchmark::DoNotOptimize(e);
+    }
+  };
+  auto direct = [&] {
+    for (const auto& q : f.broad) {
+      auto e = f.store->summary(0).Answer(q);
+      benchmark::DoNotOptimize(e);
+    }
+  };
+  const auto [routed_ns, direct_ns] = InterleavedMedianNs(routed, direct);
+  gate.Record("broad.routed_ns", routed_ns / f.broad.size());
+  gate.Record("broad.summary_direct_ns", direct_ns / f.broad.size());
   if (!gate.Write()) return 1;
   return RunBenchmarks(argc, argv);
 }

@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -245,6 +246,30 @@ bool GateRows::Write() const {
     return false;
   }
   return true;
+}
+
+std::pair<double, double> InterleavedMedianNs(
+    const std::function<void()>& a, const std::function<void()>& b) {
+  constexpr int kRounds = 15;
+  auto time = [](const std::function<void()>& fn, size_t reps) {
+    Timer timer;
+    for (size_t rep = 0; rep < reps; ++rep) fn();
+    return timer.ElapsedSeconds();
+  };
+  size_t reps = 1;
+  while (time(a, reps) + time(b, reps) < 0.01 && reps < (1u << 20)) {
+    reps *= 2;
+  }
+  std::vector<double> ta, tb;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round % 2 == 0) ta.push_back(time(a, reps));
+    tb.push_back(time(b, reps));
+    if (round % 2 != 0) ta.push_back(time(a, reps));
+  }
+  std::sort(ta.begin(), ta.end());
+  std::sort(tb.begin(), tb.end());
+  const double per_call = 1e9 / static_cast<double>(reps);
+  return {ta[kRounds / 2] * per_call, tb[kRounds / 2] * per_call};
 }
 
 int RunBenchmarks(int argc, char** argv) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "entropydb.h"
@@ -85,6 +86,15 @@ double FMeasureOn(const Method& method, size_t num_attrs,
 double AvgQuerySeconds(const Method& method, size_t num_attrs,
                        const std::vector<AttrId>& attrs,
                        const std::vector<QueryPoint>& points);
+
+/// Nanoseconds per call of `a` and of `b`, each the median of 15
+/// interleaved rounds whose first side alternates. A burst of load from
+/// elsewhere on a shared host then lands on a round or two of both sides
+/// instead of on one side's whole window, and the medians drop those
+/// rounds, so a ratio of the two is a stable gate. Each round repeats a
+/// call enough times for both sides together to run at least ~10 ms.
+std::pair<double, double> InterleavedMedianNs(const std::function<void()>& a,
+                                              const std::function<void()>& b);
 
 /// Copies the chosen attributes of a table into a narrower table (used by
 /// the Fig 2 bench, which works on the 3-attribute flights projection).

@@ -35,8 +35,9 @@ void DescribeRoute(const EntropyEngine& engine, const RouteDecision& dec) {
                 dec.sample_index, entry.sample->name.c_str(),
                 dec.sample_variance, dec.summary_variance);
   } else {
+    // A sample's walk stops once it cannot win: a lower bound.
     std::printf("    -> summary %zu%s: variance %.3g (best sample offered "
-                "%.3g)\n",
+                ">= %.3g)\n",
                 dec.index, dec.fallback ? " [fallback]" : "",
                 dec.summary_variance, dec.sample_variance);
   }

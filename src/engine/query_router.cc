@@ -64,11 +64,15 @@ size_t QueryRouter::RouteEntry(
   return index;
 }
 
-Result<bool> QueryRouter::BestSample(const CountingQuery& q, size_t* index,
-                                     QueryEstimate* est) const {
+Result<bool> QueryRouter::BestSample(const CountingQuery& q, double bound,
+                                     size_t* index, QueryEstimate* est) const {
   bool have = false;
   for (size_t s = 0; s < store_->num_samples(); ++s) {
-    auto cand = store_->sample_source(s).Answer(q);
+    // Only a variance strictly below both the rival summary's and the
+    // best companion's so far can change the outcome, so the walk may
+    // stop once it reaches the smaller of the two.
+    const double limit = have && est->variance < bound ? est->variance : bound;
+    auto cand = store_->sample_source(s).AnswerUntil(q, limit);
     if (!cand.ok()) {
       // An arity mismatch means this companion simply cannot serve the
       // query — an expected probe miss, skip it. Anything else (a corrupt
@@ -98,7 +102,8 @@ Result<bool> QueryRouter::HybridChallenge(const CountingQuery& q,
   }
   size_t index = 0;
   QueryEstimate est;
-  ASSIGN_OR_RETURN(const bool have, BestSample(q, &index, &est));
+  ASSIGN_OR_RETURN(const bool have,
+                   BestSample(q, summary_cnt.variance, &index, &est));
   if (!have) return false;
   const bool from_sample = est.variance < summary_cnt.variance;
   if (decision != nullptr) {
@@ -174,33 +179,21 @@ Result<QueryResult> QueryRouter::Answer(const AggregateQuery& q,
     case AggregateKind::kSum: {
       std::optional<QueryEstimate> routed_cnt;
       const size_t index = RouteEntry(q.where, {q.agg_attr}, &dec, &routed_cnt);
-      const EntropySummary& s = store_->summary(index);
-      // Hybrid stage for SUM: stage-3 comparison on the filter count's
-      // variance (the shared routing objective), then answer the
-      // aggregate from the winner. The tie-break may have evaluated the
-      // winner's count already; either way the summary's SUM reuses it.
+      // Answer the summary first: its count leg is bitwise
+      // Answer(where) — the tie-break's when that ran, else from the
+      // SUM's own masked evaluation — and it is the stage-3 objective.
+      ASSIGN_OR_RETURN(QueryResult out,
+                       store_->summary(index).Answer(q, routed_cnt));
       if (store_->num_samples() > 0 &&
           q.where.num_attributes() == store_->num_attributes()) {
-        if (!routed_cnt.has_value()) {
-          auto cnt = s.Answer(q.where);
-          if (cnt.ok()) routed_cnt = *cnt;
-        }
-        if (routed_cnt.has_value()) {
-          size_t sample_index = 0;
-          ASSIGN_OR_RETURN(const bool from_sample,
-                           HybridChallenge(q.where, *routed_cnt, &dec,
-                                           &sample_index, nullptr));
-          if (from_sample) {
-            ASSIGN_OR_RETURN(QueryResult out,
-                             store_->sample_source(sample_index).Answer(q));
-            dec.expected_variance = out.estimate.variance;
-            out.route = dec;
-            if (decision != nullptr) *decision = dec;
-            return out;
-          }
+        size_t sample_index = 0;
+        ASSIGN_OR_RETURN(const bool from_sample,
+                         HybridChallenge(q.where, out.count, &dec,
+                                         &sample_index, nullptr));
+        if (from_sample) {
+          ASSIGN_OR_RETURN(out, store_->sample_source(sample_index).Answer(q));
         }
       }
-      ASSIGN_OR_RETURN(QueryResult out, s.Answer(q, routed_cnt));
       dec.expected_variance = out.estimate.variance;
       out.route = dec;
       if (decision != nullptr) *decision = dec;

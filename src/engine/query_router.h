@@ -33,7 +33,10 @@ namespace entropydb {
 ///     the widest summary is the candidate.
 ///  3. Hybrid: answer from every sample companion as well and compare the
 ///     best sample's Horvitz-Thompson variance against the stage-2
-///     winner's; the overall lowest variance serves the query. A sample
+///     winner's; the overall lowest variance serves the query. A
+///     companion's walk stops once its running variance reaches the
+///     stage-2 winner's or the best companion's so far: its terms are
+///     never negative, so it could no longer win (BestSample). A sample
 ///     that saw no matching row reports the finite miss floor
 ///     w_max (w_max - 1) (never a confident zero), which routes rare
 ///     slices the sample missed back to a summary.
@@ -41,9 +44,10 @@ namespace entropydb {
 /// The unified Answer(AggregateQuery) runs the same pipeline per kind:
 /// COUNT routes the full three stages (and is bitwise the counting-path
 /// answer), SUM routes stages 1-2 on the filter PLUS the aggregated
-/// attribute and challenges hybrid on the filter count's variance (the
-/// shared objective), AVG routes summary-only (samples have no batched
-/// ratio path). The group-bys route stages 1-2 on the filter plus the
+/// attribute, answers the summary, and challenges hybrid on that
+/// answer's count leg (the filter count's variance, the shared
+/// objective), AVG routes summary-only (samples have no batched ratio
+/// path). The group-bys route stages 1-2 on the filter plus the
 /// grouped attributes and answer from that summary. QUANTILE/TOPK/JOIN
 /// derive at the engine facade from group-by marginals — kNotSupported
 /// here.
@@ -83,20 +87,29 @@ class QueryRouter {
                     std::optional<QueryEstimate>* filter_count = nullptr) const;
 
   /// Stage-3 helper: the sample companion with the lowest expected COUNT
-  /// variance for `q` (first wins ties, keeping routing deterministic).
-  /// Returns false — leaving the outputs untouched — when the store holds
-  /// no samples or none matches the query's arity (an arity mismatch is
-  /// an expected probe miss, not a fault). Any OTHER per-sample error —
-  /// e.g. a corrupt companion surfacing at answer time — propagates as a
-  /// Status instead of silently dropping the sample from routing.
-  Result<bool> BestSample(const CountingQuery& q, size_t* index,
+  /// variance for `q` (first wins ties, keeping routing deterministic),
+  /// challenging a rival of variance `bound`. Each companion's walk
+  /// stops once its running variance reaches the smaller of `bound` and
+  /// the best variance so far (SampleEstimator::AnswerUntil), since it
+  /// can then no longer be strictly lower. So when the best companion's
+  /// variance is below `bound`, `index` and `est` are exactly what full
+  /// walks give; otherwise `est` is the smallest variance any companion
+  /// reached — a lower bound on the best full walk's, never below
+  /// `bound` — and its expectation is partial. Returns false — leaving
+  /// the outputs untouched — when the store holds no samples or none
+  /// matches the query's arity (an arity mismatch is an expected probe
+  /// miss, not a fault). Any OTHER per-sample error — e.g. a corrupt
+  /// companion surfacing at answer time — propagates as a Status instead
+  /// of silently dropping the sample from routing.
+  Result<bool> BestSample(const CountingQuery& q, double bound, size_t* index,
                           QueryEstimate* est) const;
 
   /// Runs stage 3 in full: the best sample challenges the stage-2 summary
-  /// winner's filter-count estimate `summary_cnt`. Fills the decision's
-  /// hybrid fields (when non-null) and the winner outputs, and returns
-  /// true when the sample takes the query (strictly lower variance);
-  /// non-arity sample errors propagate (see BestSample). The ONE
+  /// winner's filter-count estimate `summary_cnt` (BestSample bounded by
+  /// its variance). Fills the decision's hybrid fields (when non-null)
+  /// and the winner outputs, and returns true when the sample takes the
+  /// query (strictly lower variance); the winner outputs are exact only
+  /// then. Non-arity sample errors propagate (see BestSample). The ONE
   /// comparison both COUNT and aggregate routing share — change the rule
   /// here and both paths move together.
   Result<bool> HybridChallenge(const CountingQuery& q,

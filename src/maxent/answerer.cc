@@ -21,7 +21,10 @@ Result<QueryEstimate> QueryAnswerer::Answer(const CountingQuery& q) const {
   }
   QueryMask mask = QueryMask::FromQuery(q, reg_.domain_sizes());
   WorkspacePool::Lease lease = pool_.Acquire();
-  const double masked = poly_.MaskedEvaluate(state_, mask, lease.get()).value;
+  return CountOf(poly_.MaskedEvaluate(state_, mask, lease.get()).value);
+}
+
+QueryEstimate QueryAnswerer::CountOf(double masked) const {
   const double p = std::clamp(masked / full_value_, 0.0, 1.0);
   QueryEstimate est;
   est.expectation = reg_.n() * p;
@@ -56,13 +59,18 @@ Result<QueryResult> QueryAnswerer::Answer(
     return Status::InvalidArgument(
         "weight vector must have one entry per value of the attribute");
   }
-  // One batched pass for the per-value counts; the matching total C comes
-  // from Answer(where) so the ratio's denominator (and the count leg) is
-  // the same estimate a plain COUNT reports.
+  // One batched pass for the per-value counts. The matching total C is
+  // Answer(where), so the ratio's denominator (and the count leg) is the
+  // same estimate a plain COUNT reports. When `where` leaves `a`
+  // unconstrained, the pass's relaxed mask IS the filter's mask, so its
+  // masked evaluation gives that estimate bitwise, without a second one.
+  double masked = 0.0;
   ASSIGN_OR_RETURN(std::vector<QueryEstimate> counts,
-                   AnswerGroupByAttribute(a, q.where));
+                   GroupByAttribute(a, q.where, &masked));
   if (filter_count.has_value()) {
     out.count = *filter_count;
+  } else if (q.where.predicate(a).is_any()) {
+    out.count = CountOf(masked);
   } else {
     ASSIGN_OR_RETURN(out.count, Answer(q.where));
   }
@@ -105,6 +113,12 @@ Result<QueryResult> QueryAnswerer::Answer(
 
 Result<std::vector<QueryEstimate>> QueryAnswerer::AnswerGroupByAttribute(
     AttrId a, const CountingQuery& base) const {
+  double masked = 0.0;
+  return GroupByAttribute(a, base, &masked);
+}
+
+Result<std::vector<QueryEstimate>> QueryAnswerer::GroupByAttribute(
+    AttrId a, const CountingQuery& base, double* masked) const {
   if (base.num_attributes() != reg_.num_attributes()) {
     return Status::InvalidArgument("query arity does not match the summary");
   }
@@ -125,21 +139,14 @@ Result<std::vector<QueryEstimate>> QueryAnswerer::AnswerGroupByAttribute(
     // residue, so both run under one lease.
     WorkspacePool::Lease lease = pool_.Acquire();
     const auto eval = poly_.MaskedEvaluate(state_, mask, lease.get());
+    *masked = eval.value;
     cof = poly_.MaskedAlphaDerivatives(state_, eval, a, lease.get());
   }
 
   const AttrPredicate& pred = base.predicate(a);
-  const double n = reg_.n();
   std::vector<QueryEstimate> out(reg_.domain_size(a));
   for (Code v = 0; v < reg_.domain_size(a); ++v) {
-    QueryEstimate est;
-    if (pred.Matches(v)) {
-      const double p =
-          std::clamp(state_.alpha[a][v] * cof[v] / full_value_, 0.0, 1.0);
-      est.expectation = n * p;
-      est.variance = n * p * (1.0 - p);
-    }
-    out[v] = est;
+    if (pred.Matches(v)) out[v] = CountOf(state_.alpha[a][v] * cof[v]);
   }
   return out;
 }
@@ -170,7 +177,6 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryAnswerer::AnswerGroupBy(
   WorkspacePool::Lease lease = pool_.Acquire();
   const auto eval = poly_.MaskedEvaluate(state_, mask, lease.get());
 
-  const double n = reg_.n();
   std::map<std::vector<Code>, QueryEstimate> out;
   for (const auto& key : keys) {
     if (key.size() != attrs.size()) {
@@ -191,9 +197,7 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryAnswerer::AnswerGroupBy(
     if (in_domain) {
       const double masked =
           poly_.PointOverrideValue(state_, eval, attrs, key, lease.get());
-      const double p = std::clamp(masked / full_value_, 0.0, 1.0);
-      est.expectation = n * p;
-      est.variance = n * p * (1.0 - p);
+      est = CountOf(masked);
     }
     out.emplace(key, est);
   }

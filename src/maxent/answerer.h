@@ -55,10 +55,13 @@ class QueryAnswerer {
   /// same delta method once across shards without dropping the cross term
   /// (docs/ESTIMATORS.md "Cross-shard merging").
   ///
-  /// `filter_count`, when set, must be this model's own Answer(q.where)
-  /// — a router that already evaluated the filter count hands it in, and
-  /// SUM/AVG then skip that masked evaluation. The answer is bitwise the
-  /// same either way.
+  /// The count leg is bitwise Answer(q.where). When `q.where` leaves
+  /// `q.agg_attr` unconstrained it comes from the per-value pass's own
+  /// masked evaluation, whose relaxed mask is then the filter's mask;
+  /// otherwise from a second masked evaluation. `filter_count`, when set,
+  /// must be this model's own Answer(q.where) — a router that already
+  /// evaluated the filter count hands it in, and SUM/AVG then skip that
+  /// evaluation. The answer is bitwise the same either way.
   ///
   /// QUANTILE/TOPK/JOIN kinds are derived at the engine facade from
   /// group-by marginals, not here — kNotSupported.
@@ -94,6 +97,16 @@ class QueryAnswerer {
   const WorkspacePool& workspace_pool() const { return pool_; }
 
  private:
+  /// The COUNT estimate of a masked value: n p and n p (1 - p) for
+  /// p = masked / P clamped to [0, 1]. Every count this class reports
+  /// goes through it, so equal masked values give bitwise-equal counts.
+  QueryEstimate CountOf(double masked) const;
+
+  /// AnswerGroupByAttribute, also handing back the relaxed mask's masked
+  /// value through `masked`.
+  Result<std::vector<QueryEstimate>> GroupByAttribute(
+      AttrId a, const CountingQuery& base, double* masked) const;
+
   const VariableRegistry& reg_;
   const CompressedPolynomial& poly_;
   const ModelState& state_;

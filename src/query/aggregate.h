@@ -126,8 +126,12 @@ struct RouteDecision {
   size_t sample_index = 0;
   /// The best summary candidate's expected variance (stage-2 winner).
   double summary_variance = 0.0;
-  /// The best sample's expected variance; +infinity when the store holds
-  /// no samples (the comparison then never picks a sample).
+  /// When `from_sample`, the winning sample's exact expected variance.
+  /// On a route the summary keeps, the smallest variance any companion
+  /// reached before its walk stopped at the bound it could no longer
+  /// beat (QueryRouter::BestSample): a lower bound on the best sample's
+  /// exact variance, never below `summary_variance`. +infinity when the
+  /// store holds no samples (the comparison then never picks a sample).
   double sample_variance = std::numeric_limits<double>::infinity();
 
   // -- Shards (engine/sharded_store.h, storage/zone_map.h) --------------

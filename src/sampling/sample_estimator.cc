@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace entropydb {
 
@@ -15,12 +16,20 @@ std::vector<uint64_t>& RowBitmap() {
   return bits;
 }
 
+/// A bound no running variance reaches: every comparison with NaN is
+/// false, so CountUntil never stops.
+constexpr double kNoBound = std::numeric_limits<double>::quiet_NaN();
+
 }  // namespace
 
 SampleEstimator::SampleEstimator(const WeightedSample& sample)
     : sample_(sample) {
   double w_max = 0.0;
-  for (double w : sample_.weights) w_max = std::max(w_max, w);
+  for (double w : sample_.weights) {
+    w_max = std::max(w_max, w);
+    // The exact term Count adds; false for NaN and for w in (0, 1).
+    if (!(w * (w - 1.0) >= 0.0)) monotone_ = false;
+  }
   if (sample_.weights.empty() && sample_.fraction > 0.0) {
     w_max = 1.0 / sample_.fraction;  // nominal weight of the missed row
   }
@@ -28,10 +37,7 @@ SampleEstimator::SampleEstimator(const WeightedSample& sample)
 }
 
 Result<QueryEstimate> SampleEstimator::Answer(const CountingQuery& q) const {
-  if (q.num_attributes() != sample_.rows->num_attributes()) {
-    return Status::InvalidArgument("query arity does not match the sample");
-  }
-  return Count(q);
+  return AnswerUntil(q, kNoBound);
 }
 
 Result<QueryResult> SampleEstimator::Answer(const AggregateQuery& q) const {
@@ -85,7 +91,8 @@ bool SampleEstimator::PlanIndexed(const CountingQuery& q,
   return true;
 }
 
-QueryEstimate SampleEstimator::Count(const CountingQuery& q) const {
+QueryEstimate SampleEstimator::CountUntil(const CountingQuery& q,
+                                          double bound) const {
   // Hoisted out of the per-row statements: reloading it through `this`
   // on every matched row costs the scan loop a register.
   const double* weights = sample_.weights.data();
@@ -96,9 +103,22 @@ QueryEstimate SampleEstimator::Count(const CountingQuery& q) const {
     est.expectation += w;
     est.variance += w * (w - 1.0);
     matched = true;
+    return !(est.variance >= bound);
   });
   if (!matched) est.variance = miss_floor_;
   return est;
+}
+
+QueryEstimate SampleEstimator::Count(const CountingQuery& q) const {
+  return CountUntil(q, kNoBound);
+}
+
+Result<QueryEstimate> SampleEstimator::AnswerUntil(const CountingQuery& q,
+                                                   double bound) const {
+  if (q.num_attributes() != sample_.rows->num_attributes()) {
+    return Status::InvalidArgument("query arity does not match the sample");
+  }
+  return CountUntil(q, monotone_ ? bound : kNoBound);
 }
 
 QueryEstimate SampleEstimator::Sum(AttrId a,
@@ -114,6 +134,7 @@ QueryEstimate SampleEstimator::Sum(AttrId a,
     est.expectation += w * v;
     est.variance += w * (w - 1.0) * v * v;
     matched = true;
+    return true;
   });
   if (!matched) {
     double v2_max = 0.0;
@@ -139,6 +160,7 @@ QueryResult SampleEstimator::Moments(AttrId a,
     out.sum.variance += w * (w - 1.0) * v * v;
     out.sum_count_cov += w * (w - 1.0) * v;
     matched = true;
+    return true;
   });
   if (!matched) {
     double v2_max = 0.0;

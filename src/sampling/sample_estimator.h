@@ -57,6 +57,18 @@ class SampleEstimator {
   /// aggregate-weight mismatches are kInvalidArgument.
   Result<QueryResult> Answer(const AggregateQuery& q) const;
 
+  /// COUNT(*) for the hybrid challenge against a rival whose variance is
+  /// `bound` (engine/query_router.h): Answer(q), except that the walk
+  /// stops as soon as the running variance reaches `bound`. Rows are
+  /// visited in ascending row order and, when every weight has
+  /// w (w - 1) >= 0, each term is >= 0, so the running sum is a prefix of
+  /// Count's and never decreases. A stopped walk therefore reports a
+  /// variance >= `bound` and <= Count(q)'s (its expectation is partial):
+  /// it cannot win a strict-less comparison against `bound`. A walk that
+  /// does not stop is Count(q) bitwise. A sample holding a NaN weight or
+  /// one in (0, 1) never stops early.
+  Result<QueryEstimate> AnswerUntil(const CountingQuery& q, double bound) const;
+
   /// Estimated COUNT(*) for a conjunctive query. Variance is
   /// sum w_i (w_i - 1) over matching rows, floored at MissFloor() when no
   /// row matches.
@@ -107,12 +119,18 @@ class SampleEstimator {
   /// takes the scan path, which is bitwise equivalent either way.
   bool PlanIndexed(const CountingQuery& q, IndexedPlan* plan) const;
 
+  /// The COUNT walk behind Count and AnswerUntil: it stops once the
+  /// running variance reaches `bound`, and never for a NaN bound. One
+  /// body, so both accumulate the identical statements per row.
+  QueryEstimate CountUntil(const CountingQuery& q, double bound) const;
+
   /// Runs `fn(row)` for every sample row matching `q`, in ascending
   /// original-row order, via the indexed plan when profitable and the
-  /// full scan otherwise. Count, Sum and Moments all accumulate through
-  /// this one iterator, so the paths cannot desynchronize: per matching
-  /// row they execute the identical statements in the identical order —
-  /// the bitwise-identity contract routing depends on.
+  /// full scan otherwise, until `fn` returns false. Count, Sum, Moments
+  /// and AnswerUntil all accumulate through this one iterator (only
+  /// AnswerUntil's walk stops it), so the paths cannot desynchronize:
+  /// per matching row they execute the identical statements in the
+  /// identical order — the bitwise-identity contract routing depends on.
   template <typename PerRow>
   void ForEachMatchingRow(const CountingQuery& q, const PerRow& fn) const {
     const Table& t = *sample_.rows;
@@ -127,25 +145,28 @@ class SampleEstimator {
           for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
             const size_t r =
                 w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-            if (residual.Matches(t, r)) fn(r);
+            if (residual.Matches(t, r) && !fn(r)) return;
           }
         }
       } else {
         for (const uint32_t* r = plan.single.begin; r != plan.single.end;
              ++r) {
-          if (residual.Matches(t, *r)) fn(*r);
+          if (residual.Matches(t, *r) && !fn(*r)) return;
         }
       }
     } else {
       const ActivePredicates active(q);
       for (size_t r = 0; r < t.num_rows(); ++r) {
-        if (active.Matches(t, r)) fn(r);
+        if (active.Matches(t, r) && !fn(r)) return;
       }
     }
   }
 
   const WeightedSample& sample_;
   double miss_floor_ = 0.0;
+  /// True when every weight has w (w - 1) >= 0, so a COUNT's running
+  /// variance never decreases and AnswerUntil may stop early.
+  bool monotone_ = true;
 };
 
 }  // namespace entropydb

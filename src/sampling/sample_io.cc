@@ -1,5 +1,6 @@
 #include "sampling/sample_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -146,6 +147,12 @@ Result<WeightedSample> ParseSample(const std::string& payload,
     }
     if (!(in >> sample.weights[r])) {
       return Status::Corruption("truncated sample weight in " + path);
+    }
+    // An expansion weight is 1 / inclusion probability: finite and >= 1.
+    // Anything else under a valid footer is a corrupt file, and would
+    // also break the estimator's non-negative variance terms.
+    if (!std::isfinite(sample.weights[r]) || sample.weights[r] < 1.0) {
+      return Status::Corruption("bad sample weight in " + path);
     }
     builder.AppendEncodedRow(row);
   }

@@ -328,5 +328,36 @@ TEST_F(CorruptionTest, OutOfDomainSampleCodeIsCorruption) {
       << opened.status().ToString();
 }
 
+TEST_F(CorruptionTest, BadSampleWeightIsCorruption) {
+  // An expansion weight that is not finite or is below 1, under a valid
+  // footer: every variant must fail the open as kCorruption.
+  for (const std::string bad : {"0.5", "0", "-3", "nan", "inf", "1e999"}) {
+    SCOPED_TRACE(bad);
+    const std::string dir = Clone(MonoDir());
+    const std::string path = dir + "/sample_0.eds";
+    auto payload = ReadChecksummedFile(Env::Default(), path);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    const size_t rows = payload->find("\nrows ");
+    ASSERT_NE(rows, std::string::npos);
+    const size_t row0 = payload->find('\n', rows + 1) + 1;
+    const size_t row0_end = payload->find('\n', row0);
+    ASSERT_NE(row0_end, std::string::npos);
+    // Row 0 is its codes, then its weight after the last space.
+    const size_t weight = payload->rfind(' ', row0_end) + 1;
+    ASSERT_GT(weight, row0);
+    const std::string mutated =
+        payload->substr(0, weight) + bad + payload->substr(row0_end);
+    ASSERT_TRUE(WriteChecksummedFile(Env::Default(), path, mutated).ok());
+
+    auto opened = EntropyEngine::Open(dir);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+    EXPECT_NE(opened.status().message().find("sample_0.eds"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace entropydb

@@ -6,7 +6,9 @@
 // routed answer is bitwise the chosen source's own answer.
 
 #include <cmath>
+#include <optional>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,9 @@
 #include "engine/engine.h"
 #include "engine/query_router.h"
 #include "query/exact_evaluator.h"
+#include "sampling/sample_index.h"
 #include "sampling/stratified_sampler.h"
+#include "sampling/uniform_sampler.h"
 
 namespace entropydb {
 namespace {
@@ -233,6 +237,300 @@ TEST(HybridRouterTest, AnswerAllMatchesSerialWithSamples) {
   }
   // The rare cells must still reach the sample through the batched path.
   EXPECT_GT(to_sample, 0u);
+}
+
+/// Stores for the bounded challenge. Three summaries — two tie on (0, 1),
+/// so the coverage tie-break runs, and one models (1, 2) — and three
+/// companions covering every walk: a stratified (2, 3) sample and a
+/// uniform one, both indexed, and a stratified (0, 1) sample without an
+/// index (the scan path). `fractional` holds the same sources plus a
+/// last companion with weights in (0, 1): the table's rows three times
+/// over, the first 150 weighted 4 and the rest 0.5. Its variance terms
+/// w (w - 1) are 12 and then -0.25, so its running variance climbs past
+/// a summary's and then falls back below it: its walk must not stop.
+struct ChallengeFixture {
+  std::shared_ptr<Table> table;
+  std::shared_ptr<SourceStore> store;
+  std::shared_ptr<SourceStore> fractional;
+
+  static ChallengeFixture& Get() {
+    static ChallengeFixture* f = [] {
+      auto table = HybridTable(4000, 907);
+      StatisticSelector selector(SelectionHeuristic::kComposite);
+      SummaryOptions sopts;
+      sopts.solver.max_iterations = 150;
+      struct Modeled {
+        AttrId a, b;
+        size_t budget;
+      };
+      const Modeled modeled[] = {{0, 1, 40}, {0, 1, 16}, {1, 2, 30}};
+      std::vector<StoreEntry> entries;
+      for (const Modeled& m : modeled) {
+        auto summary = EntropySummary::Build(
+            *table, selector.Select(*table, m.a, m.b, m.budget), sopts);
+        EXPECT_TRUE(summary.ok());
+        StoreEntry entry;
+        entry.summary = *summary;
+        entry.pairs = {ScoredPair{m.a, m.b, 0.9, 0.0}};
+        entries.push_back(entry);
+      }
+      std::vector<SampleEntry> samples;
+      auto add = [&](Result<WeightedSample> drawn, bool indexed) {
+        EXPECT_TRUE(drawn.ok());
+        auto sample =
+            std::make_shared<WeightedSample>(std::move(drawn).ValueOrDie());
+        if (indexed) sample->index = SampleIndex::Build(*sample->rows);
+        SampleEntry entry;
+        entry.sample = sample;
+        samples.push_back(entry);
+      };
+      add(StratifiedSampler::Create(*table, 2, 3, 0.05, 7), true);
+      add(UniformSampler::Create(*table, 0.05, 11), true);
+      add(StratifiedSampler::Create(*table, 0, 1, 0.05, 13), false);
+      auto store = SourceStore::FromParts(entries, samples);
+      EXPECT_TRUE(store.ok());
+
+      std::vector<std::vector<Code>> rows;
+      for (int copy = 0; copy < 3; ++copy) {
+        for (size_t r = 0; r < table->num_rows(); ++r) {
+          std::vector<Code> row(table->num_attributes());
+          for (AttrId a = 0; a < row.size(); ++a) row[a] = table->at(r, a);
+          rows.push_back(row);
+        }
+      }
+      WeightedSample odd;
+      odd.rows = testutil::MakeTable({8, 8, 12, 12}, rows);
+      for (size_t r = 0; r < rows.size(); ++r) {
+        odd.weights.push_back(r < 150 ? 4.0 : 0.5);
+      }
+      odd.fraction = 1.0;
+      odd.name = "fractional";
+      add(std::move(odd), true);
+      auto fractional = SourceStore::FromParts(entries, samples);
+      EXPECT_TRUE(fractional.ok());
+      return new ChallengeFixture{table, *store, *fractional};
+    }();
+    return *f;
+  }
+
+  /// Random points, ranges and IN sets, plus every off-diagonal (2, 3)
+  /// cell, where the stratified companion tends to win.
+  std::vector<CountingQuery> Workload(size_t random, uint64_t seed) const {
+    Rng rng(seed);
+    std::vector<CountingQuery> out;
+    for (size_t i = 0; i < random; ++i) {
+      out.push_back(testutil::RandomQuery(rng, *table));
+    }
+    for (Code x = 0; x < 12; ++x) {
+      for (Code y = 0; y < 12; ++y) {
+        if (x != y) out.push_back(CellQuery(x, y));
+      }
+    }
+    return out;
+  }
+};
+
+/// Stage 3 with every companion walked in full: the first companion of
+/// strictly lowest Count variance, taking the query only when strictly
+/// below the summary's — the rule the bounded walk must reproduce.
+struct FullChallenge {
+  bool from_sample = false;
+  size_t sample_index = 0;
+  QueryEstimate best;
+
+  FullChallenge(const SourceStore& store, const CountingQuery& q,
+                double summary_variance) {
+    for (size_t s = 0; s < store.num_samples(); ++s) {
+      const QueryEstimate e = store.sample_source(s).Count(q);
+      if (s == 0 || e.variance < best.variance) {
+        best = e;
+        sample_index = s;
+      }
+    }
+    from_sample = store.num_samples() > 0 && best.variance < summary_variance;
+  }
+};
+
+void ExpectSameEstimate(const QueryEstimate& got, const QueryEstimate& want) {
+  EXPECT_EQ(got.expectation, want.expectation);
+  EXPECT_EQ(got.variance, want.variance);
+}
+
+/// The decision's hybrid fields against the full-walk oracle: exact on a
+/// sample-won route; on a summary-kept one, a lower bound on the best
+/// companion's variance that is never below the summary's. Returns true
+/// when a walk stopped early (the reported variance is not the full one).
+bool ExpectHybridFields(const RouteDecision& dec, const FullChallenge& want,
+                        double summary_variance) {
+  EXPECT_EQ(dec.from_sample, want.from_sample);
+  EXPECT_EQ(dec.summary_variance, summary_variance);
+  if (want.from_sample) {
+    EXPECT_EQ(dec.sample_index, want.sample_index);
+    EXPECT_EQ(dec.sample_variance, want.best.variance);
+    return false;
+  }
+  EXPECT_GE(dec.sample_variance, dec.summary_variance);
+  EXPECT_LE(dec.sample_variance, want.best.variance);
+  return dec.sample_variance != want.best.variance;
+}
+
+struct ChallengeTally {
+  size_t sample_won = 0;
+  size_t won_by_last = 0;  // sample-won by the store's last companion
+  size_t summary_kept = 0;
+  size_t stopped = 0;
+
+  void Add(const SourceStore& store, const FullChallenge& want) {
+    const bool last = want.sample_index + 1 == store.num_samples();
+    sample_won += want.from_sample;
+    won_by_last += want.from_sample && last;
+    summary_kept += !want.from_sample;
+  }
+};
+
+/// COUNT through the router against the full-walk oracle, bitwise.
+void ExpectCountMatchesFullWalk(const SourceStore& store,
+                                const QueryRouter& router,
+                                const CountingQuery& q, ChallengeTally* t) {
+  size_t covered = 0;
+  const std::vector<size_t> candidates =
+      router.CoveringEntries(q.ConstrainedMask(), &covered);
+  size_t index = candidates.front();
+  QueryEstimate summary_est;
+  for (size_t k : candidates) {
+    auto est = store.summary(k).Answer(q);
+    ASSERT_TRUE(est.ok());
+    if (k == candidates.front() || est->variance < summary_est.variance) {
+      summary_est = *est;
+      index = k;
+    }
+  }
+  const FullChallenge want(store, q, summary_est.variance);
+
+  RouteDecision dec;
+  auto got = router.Answer(q, &dec);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(dec.index, index);
+  t->stopped += ExpectHybridFields(dec, want, summary_est.variance);
+  ExpectSameEstimate(*got, want.from_sample ? want.best : summary_est);
+  t->Add(store, want);
+}
+
+/// SUM through the router against the order it replaced: challenge with
+/// the filter count first (every companion walked in full), then answer
+/// the winner — the summary with that count handed in. Every field is
+/// compared bitwise, so this also pins the summary's shared evaluation.
+void ExpectSumMatchesChallengeFirst(const SourceStore& store,
+                                    const QueryRouter& router,
+                                    const AggregateQuery& q,
+                                    ChallengeTally* t) {
+  std::optional<QueryEstimate> routed_cnt;
+  const size_t index =
+      router.RouteEntry(q.where, {q.agg_attr}, nullptr, &routed_cnt);
+  const EntropySummary& summary = store.summary(index);
+  if (!routed_cnt.has_value()) {
+    auto cnt = summary.Answer(q.where);
+    ASSERT_TRUE(cnt.ok());
+    routed_cnt = *cnt;
+  }
+  const FullChallenge want(store, q.where, routed_cnt->variance);
+  auto expected = want.from_sample
+                      ? store.sample_source(want.sample_index).Answer(q)
+                      : summary.Answer(q, routed_cnt);
+  ASSERT_TRUE(expected.ok());
+
+  RouteDecision dec;
+  auto got = router.Answer(q, &dec);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(dec.index, index);
+  t->stopped += ExpectHybridFields(dec, want, routed_cnt->variance);
+  ExpectSameEstimate(got->estimate, expected->estimate);
+  ExpectSameEstimate(got->sum, expected->sum);
+  ExpectSameEstimate(got->count, expected->count);
+  EXPECT_EQ(got->sum_count_cov, expected->sum_count_cov);
+  EXPECT_EQ(dec.expected_variance, expected->estimate.variance);
+  t->Add(store, want);
+}
+
+std::vector<double> SumValues(AttrId a) {
+  std::vector<double> values(a < 2 ? 8 : 12);
+  for (size_t v = 0; v < values.size(); ++v) values[v] = 0.5 + 1.5 * v;
+  return values;
+}
+
+TEST(HybridRouterTest, BoundedChallengeMatchesFullWalks) {
+  auto& f = ChallengeFixture::Get();
+  for (const auto& store : {f.store, f.fractional}) {
+    const bool fractional = store == f.fractional;
+    SCOPED_TRACE(fractional ? "fractional" : "monotone");
+    QueryRouter router(store);
+    ChallengeTally counts, sums;
+    size_t i = 0;
+    for (const CountingQuery& q : f.Workload(400, 2411)) {
+      ExpectCountMatchesFullWalk(*store, router, q, &counts);
+      const AttrId a = static_cast<AttrId>(i++ % 4);
+      ExpectSumMatchesChallengeFirst(
+          *store, router, AggregateQuery::Sum(a, SumValues(a), q), &sums);
+    }
+    for (const ChallengeTally* t : {&counts, &sums}) {
+      EXPECT_GT(t->sample_won, 0u);
+      EXPECT_GT(t->summary_kept, 0u);
+      if (fractional) {
+        // The fractional companion wins routes on its negative terms.
+        EXPECT_GT(t->won_by_last, 0u);
+      } else {
+        // Walks really stop: some reported variances are partial.
+        EXPECT_GT(t->stopped, 0u);
+      }
+    }
+  }
+}
+
+TEST(HybridRouterTest, BoundedChallengeConcurrentMatchesSerial) {
+  auto& f = ChallengeFixture::Get();
+  auto engine = EntropyEngine::FromStore(f.fractional);
+  std::vector<AggregateQuery> workload;
+  size_t i = 0;
+  for (const CountingQuery& q : f.Workload(150, 2412)) {
+    const AttrId a = static_cast<AttrId>(i++ % 4);
+    workload.push_back(AggregateQuery::Count(q));
+    workload.push_back(AggregateQuery::Sum(a, SumValues(a), q));
+  }
+  struct Routed {
+    QueryResult result;
+    RouteDecision dec;
+  };
+  auto run = [&](size_t offset, std::vector<Routed>* out) {
+    out->assign(workload.size(), Routed{});
+    for (size_t k = 0; k < workload.size(); ++k) {
+      const size_t j = (k + offset) % workload.size();
+      auto r = engine->Answer(workload[j], &(*out)[j].dec);
+      if (r.ok()) (*out)[j].result = *r;
+    }
+  };
+  std::vector<Routed> serial;
+  run(0, &serial);
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<Routed>> parallel(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back(run, t * 37, &parallel[t]);
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t k = 0; k < workload.size(); ++k) {
+      const Routed& got = parallel[t][k];
+      const Routed& want = serial[k];
+      ExpectSameEstimate(got.result.estimate, want.result.estimate);
+      ExpectSameEstimate(got.result.sum, want.result.sum);
+      ExpectSameEstimate(got.result.count, want.result.count);
+      EXPECT_EQ(got.result.sum_count_cov, want.result.sum_count_cov);
+      EXPECT_EQ(got.dec.from_sample, want.dec.from_sample);
+      EXPECT_EQ(got.dec.sample_index, want.dec.sample_index);
+      EXPECT_EQ(got.dec.sample_variance, want.dec.sample_variance);
+      EXPECT_EQ(got.dec.summary_variance, want.dec.summary_variance);
+    }
+  }
 }
 
 }  // namespace

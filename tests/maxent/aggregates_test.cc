@@ -80,6 +80,41 @@ TEST(AggregateTest, HandedInFilterCountLeavesSumAndAvgBitwiseUnchanged) {
   }
 }
 
+TEST(AggregateTest, CountLegIsBitwiseTheFilterCount) {
+  // SUM and AVG take their count leg from the per-value pass's own masked
+  // evaluation when the filter leaves the aggregated attribute free, and
+  // from a second evaluation otherwise: either way it must be
+  // Answer(where) bitwise. The (0, 1) and (1, 2) statistics chain into
+  // one component, so the shared evaluation walks real groups.
+  auto table = RandomTable({6, 5, 7, 4}, 2000, 2231);
+  auto stats = RandomDisjointStats(*table, 0, 1, 6, 2232);
+  auto chained = RandomDisjointStats(*table, 1, 2, 5, 2233);
+  stats.insert(stats.end(), chained.begin(), chained.end());
+  auto s = SolveFor(*table, std::move(stats));
+  QueryAnswerer answerer(s.reg, s.poly, s.state);
+  Rng rng(2234);
+  size_t free_attr = 0, constrained_attr = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const CountingQuery q = testutil::RandomQuery(rng, *table);
+    auto count = answerer.Answer(q);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    for (AttrId a = 0; a < table->num_attributes(); ++a) {
+      std::vector<double> weights(table->domain(a).size());
+      for (size_t v = 0; v < weights.size(); ++v) weights[v] = 0.75 * v + 1;
+      (q.predicate(a).is_any() ? free_attr : constrained_attr) += 1;
+      for (const AggregateQuery& agg : {AggregateQuery::Sum(a, weights, q),
+                                        AggregateQuery::Avg(a, weights, q)}) {
+        auto got = answerer.Answer(agg);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->count.expectation, count->expectation);
+        EXPECT_EQ(got->count.variance, count->variance);
+      }
+    }
+  }
+  EXPECT_GT(free_attr, 0u);
+  EXPECT_GT(constrained_attr, 0u);
+}
+
 TEST(GroupByAttributeTest, MatchesPointQueries) {
   auto table = RandomTable({5, 6, 4}, 700, 131);
   auto s = SolveFor(*table, RandomDisjointStats(*table, 0, 1, 5, 132));

@@ -3,11 +3,13 @@
 // samples/strata, and the HT SUM estimator.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
 #include "sampling/sample_estimator.h"
+#include "sampling/sample_index.h"
 #include "sampling/stratified_sampler.h"
 #include "sampling/uniform_sampler.h"
 
@@ -98,6 +100,75 @@ TEST(SampleEstimatorTest, SumZeroMatchFloorScalesByLargestValue) {
   auto sum = est.Sum(0, values, q);
   EXPECT_DOUBLE_EQ(sum.expectation, 0.0);
   EXPECT_DOUBLE_EQ(sum.variance, 90.0 * 400.0);  // floor * max(values^2)
+}
+
+TEST(SampleEstimatorTest, AnswerUntilStopsOnlyWhenItCannotWin) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  auto table = testutil::RandomTable({6, 5, 4}, 3000, 311);
+  auto drawn = StratifiedSampler::Create(*table, 0, 1, 0.05, 9);
+  ASSERT_TRUE(drawn.ok());
+  WeightedSample indexed = *drawn;
+  indexed.index = SampleIndex::Build(*indexed.rows);
+  Rng rng(312);
+  size_t stopped = 0;
+  for (const WeightedSample* sample : {&*drawn, &indexed}) {
+    SampleEstimator est(*sample);
+    for (int trial = 0; trial < 300; ++trial) {
+      const CountingQuery q = testutil::RandomQuery(rng, *table);
+      const QueryEstimate full = est.Count(q);
+      const double bound = full.variance * 2.0 * rng.NextDouble();
+      auto got = est.AnswerUntil(q, bound);
+      ASSERT_TRUE(got.ok());
+      if (got->variance < bound) {
+        // Not stopped: bitwise the full walk.
+        EXPECT_EQ(got->expectation, full.expectation);
+        EXPECT_EQ(got->variance, full.variance);
+      } else {
+        EXPECT_LE(got->variance, full.variance);
+        stopped += got->variance != full.variance;
+      }
+      // A bound that can never be reached walks in full.
+      for (double never : {kInf, kNaN}) {
+        auto all = est.AnswerUntil(q, never);
+        ASSERT_TRUE(all.ok());
+        EXPECT_EQ(all->expectation, full.expectation);
+        EXPECT_EQ(all->variance, full.variance);
+      }
+    }
+  }
+  EXPECT_GT(stopped, 0u);
+  auto mismatch = SampleEstimator(*drawn).AnswerUntil(CountingQuery(2), 1.0);
+  EXPECT_TRUE(mismatch.status().IsInvalidArgument());
+}
+
+TEST(SampleEstimatorTest, AnswerUntilWalksInFullUnlessEveryTermIsNonNegative) {
+  // The first row's term w (w - 1) is 90, so a walk allowed to stop would
+  // stop there against a bound of 80. With the rest weighted 0.5 (terms
+  // -0.25) the full variance ends at 65, below the bound: stopping would
+  // hide a winner. With the rest weighted 1 and a last NaN weight, only
+  // the full walk reaches the NaN. Either weight disables the stop.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<Code>> rows(101, std::vector<Code>{0});
+  const CountingQuery q(1);
+
+  WeightedSample fractional;
+  fractional.rows = testutil::MakeTable({2}, rows);
+  fractional.weights.assign(101, 0.5);
+  fractional.weights[0] = 10.0;
+  auto got = SampleEstimator(fractional).AnswerUntil(q, 80.0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->expectation, 60.0);
+  EXPECT_EQ(got->variance, 65.0);
+
+  WeightedSample nan = fractional;
+  nan.weights.assign(101, 1.0);
+  nan.weights[0] = 10.0;
+  nan.weights.back() = kNaN;
+  got = SampleEstimator(nan).AnswerUntil(q, 80.0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(std::isnan(got->expectation));
+  EXPECT_TRUE(std::isnan(got->variance));
 }
 
 }  // namespace

@@ -87,10 +87,11 @@ void PrintShardRoute(const std::vector<std::string>& names,
       dec.sample_variance < std::numeric_limits<double>::infinity()) {
     // The comparison objective is the COUNT variance on both sides (for
     // aggregates dec.expected_variance is the aggregate's own variance,
-    // which is not what the router compared).
+    // which is not what the router compared). The samples' walks stop
+    // once they cannot win, so theirs is a lower bound.
     std::fprintf(stderr,
                  "          (summary kept it: count variance %.3g vs best "
-                 "sample %.3g)\n",
+                 "sample >= %.3g)\n",
                  dec.summary_variance, dec.sample_variance);
   }
 }
