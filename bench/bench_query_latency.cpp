@@ -76,16 +76,24 @@ void BM_SummarySinglePredicateQuery(benchmark::State& state) {
 BENCHMARK(BM_SummarySinglePredicateQuery);
 
 void BM_MaskedEvalFresh(benchmark::State& state) {
-  // Ablation: the seed path — every masked evaluation rebuilt all
-  // per-attribute prefix sums and walked every group of every component.
+  // Ablation: the seed path — every masked evaluation zeroed the excluded
+  // alphas (Sec 4.2), rebuilt all per-attribute prefix sums and walked
+  // every group of every component.
   auto& f = LatencyFixture::Get();
   const auto& poly = f.summary->polynomial();
   const auto& st = f.summary->state();
   QueryMask mask =
       QueryMask::FromQuery(f.single_pred_query,
                            f.summary->registry().domain_sizes());
+  ModelState zeroed = st;
   for (auto _ : state) {
-    auto ctx = poly.Evaluate(st, mask);
+    for (AttrId a = 0; a < zeroed.alpha.size(); ++a) {
+      if (mask.IsAny(a)) continue;
+      for (Code v = 0; v < zeroed.alpha[a].size(); ++v) {
+        zeroed.alpha[a][v] = mask.Allows(a, v) ? st.alpha[a][v] : 0.0;
+      }
+    }
+    auto ctx = poly.EvaluateUnmasked(zeroed);
     benchmark::DoNotOptimize(ctx.value);
   }
 }

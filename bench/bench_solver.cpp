@@ -2,7 +2,7 @@
 // mirror-descent sweep, and full model fitting — plus the ablation the
 // paper describes in Sec 5: its first implementation re-evaluated P per
 // variable (an estimated 3 months of runtime); the optimized evaluation
-// brought model computation under a day. We compare our batched per-family
+// brought model computation under a day. We compare our single-sweep
 // derivative pass against the naive two-evaluations-per-variable scheme.
 
 #include <benchmark/benchmark.h>
@@ -83,28 +83,14 @@ void BM_PolynomialEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_PolynomialEvaluate);
 
-void BM_BatchedFamilyDerivatives(benchmark::State& state) {
-  // One batched pass producing the cofactors of every variable of the
-  // largest attribute family.
-  auto& f = SolverFixture::Get();
-  auto ctx = f.poly->EvaluateUnmasked(f.initial);
-  AttrId widest = WidestComponentAttr(*f.reg, *f.poly);
-  for (auto _ : state) {
-    auto d = f.poly->AlphaDerivatives(f.initial, ctx, widest);
-    benchmark::DoNotOptimize(d.data());
-  }
-  state.counters["vars_per_pass"] =
-      static_cast<double>(f.reg->domain_size(widest));
-}
-BENCHMARK(BM_BatchedFamilyDerivatives);
-
 void BM_NaivePerVariableDerivatives(benchmark::State& state) {
-  // Ablation: the same cofactors computed the naive way — per variable,
-  // via P and P[alpha_v = 0] (two masked evaluations each, as the paper's
-  // pre-optimization Java prototype effectively did).
+  // Ablation: the cofactors of the widest family computed the naive way —
+  // per variable, via P and P[alpha_v = 0] (two evaluations each, as the
+  // paper's pre-optimization Java prototype effectively did).
   auto& f = SolverFixture::Get();
   AttrId widest = WidestComponentAttr(*f.reg, *f.poly);
   const uint32_t n = f.reg->domain_size(widest);
+  ModelState zeroed = f.initial;
   for (auto _ : state) {
     auto full = f.poly->EvaluateUnmasked(f.initial);
     std::vector<double> derivs(n);
@@ -114,11 +100,9 @@ void BM_NaivePerVariableDerivatives(benchmark::State& state) {
         derivs[v] = 0.0;
         continue;
       }
-      QueryMask mask(f.reg->num_attributes());
-      std::vector<uint8_t> allow(n, 1);
-      allow[v] = 0;
-      mask.Restrict(widest, std::move(allow));
-      const double without = f.poly->Evaluate(f.initial, mask).value;
+      zeroed.alpha[widest][v] = 0.0;
+      const double without = f.poly->EvaluateUnmasked(zeroed).value;
+      zeroed.alpha[widest][v] = alpha;
       derivs[v] = (full.value - without) / alpha;
     }
     benchmark::DoNotOptimize(derivs.data());
@@ -141,28 +125,6 @@ void BM_AllDerivativesSingleSweep(benchmark::State& state) {
       static_cast<double>(f.reg->TotalVariables());
 }
 BENCHMARK(BM_AllDerivativesSingleSweep);
-
-void BM_AllDerivativesPerAttributeLoop(benchmark::State& state) {
-  // The old engine for the same output: one batched group walk per
-  // attribute family plus one per multi-dimensional statistic — the
-  // O(num_attrs * groups * width) inner loop the single sweep replaces.
-  auto& f = SolverFixture::Get();
-  auto ctx = f.poly->EvaluateUnmasked(f.initial);
-  for (auto _ : state) {
-    std::vector<std::vector<double>> alpha(f.reg->num_attributes());
-    for (AttrId a = 0; a < f.reg->num_attributes(); ++a) {
-      alpha[a] = f.poly->AlphaDerivatives(f.initial, ctx, a);
-    }
-    std::vector<double> delta(f.reg->num_multi_dim());
-    for (uint32_t j = 0; j < f.reg->num_multi_dim(); ++j) {
-      delta[j] = f.poly->DeltaDerivative(f.initial, ctx, j);
-    }
-    benchmark::DoNotOptimize(delta.data());
-  }
-  state.counters["vars_per_pass"] =
-      static_cast<double>(f.reg->TotalVariables());
-}
-BENCHMARK(BM_AllDerivativesPerAttributeLoop);
 
 void BM_SolverSweep(benchmark::State& state) {
   auto& f = SolverFixture::Get();
@@ -193,27 +155,6 @@ void BM_SolveToConvergence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveToConvergence)->Unit(benchmark::kMillisecond);
-
-void BM_SolverSweepNaiveEvalPerFamily(benchmark::State& state) {
-  // Ablation of the incremental-refresh sweep: the pre-optimization sweep
-  // paid one full polynomial evaluation per attribute family (plus one for
-  // the delta phase). Reproduced here so the speedup stays measurable.
-  auto& f = SolverFixture::Get();
-  for (auto _ : state) {
-    ModelState st = f.initial;
-    for (AttrId a = 0; a < f.reg->num_attributes(); ++a) {
-      auto ctx = f.poly->EvaluateUnmasked(st);
-      auto cof = f.poly->AlphaDerivatives(st, ctx, a);
-      benchmark::DoNotOptimize(cof.data());
-    }
-    auto ctx = f.poly->EvaluateUnmasked(st);
-    for (uint32_t j = 0; j < f.reg->num_multi_dim(); ++j) {
-      auto d = f.poly->DeltaDerivativeLocal(st, ctx, j);
-      benchmark::DoNotOptimize(d);
-    }
-  }
-}
-BENCHMARK(BM_SolverSweepNaiveEvalPerFamily);
 
 }  // namespace
 

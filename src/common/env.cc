@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
 
 #include "common/crc32c.h"
 
@@ -293,6 +294,23 @@ Result<std::string> ReadChecksummedFile(Env* env, const std::string& path,
   if (footer_crc != nullptr) *footer_crc = stored;
   contents.resize(footer_at);
   return contents;
+}
+
+Status ReadCount(std::istringstream& in, size_t entry_bytes,
+                 const std::string& path, const std::string& record,
+                 size_t* count) {
+  if (!(in >> *count)) {
+    return Status::Corruption("bad " + record + " count in " + path);
+  }
+  // A string stream's get area is the rest of the payload.
+  const size_t left =
+      static_cast<size_t>(std::max<std::streamsize>(in.rdbuf()->in_avail(), 0));
+  if (*count > left / entry_bytes) {
+    return Status::Corruption(record + " count " + std::to_string(*count) +
+                              " exceeds the " + std::to_string(left) +
+                              " bytes left in " + path);
+  }
+  return Status::OK();
 }
 
 std::string StagingDirFor(const std::string& dir) {

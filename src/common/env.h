@@ -2,6 +2,7 @@
 #define ENTROPYDB_COMMON_ENV_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -121,6 +122,21 @@ Status WriteChecksummedFile(Env* env, const std::string& path,
 Result<std::string> ReadChecksummedFile(Env* env, const std::string& path,
                                         bool verify = true,
                                         uint32_t* footer_crc = nullptr);
+
+/// Smallest encodings of one counted entry in a payload: a number and its
+/// separator, or a label line, which may be empty.
+inline constexpr size_t kMinNumberBytes = 2;
+inline constexpr size_t kMinLabelBytes = 1;
+
+/// Reads the entry count of `record` from a payload being parsed and bounds
+/// it by the bytes left to read, at `entry_bytes` per entry. A count that
+/// is not a number, or whose entries cannot fit, is kCorruption naming
+/// `path` and `record`. A footer proves the bytes intact, not that the
+/// writer's counts are sane, so a parser reads every count it sizes
+/// anything by through this.
+Status ReadCount(std::istringstream& in, size_t entry_bytes,
+                 const std::string& path, const std::string& record,
+                 size_t* count);
 
 // ---------------------------------------------------------------------
 // Atomic directory publication.

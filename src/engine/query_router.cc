@@ -121,23 +121,16 @@ Result<QueryEstimate> QueryRouter::Answer(const CountingQuery& q,
   if (q.num_attributes() != store_->num_attributes()) {
     return Status::InvalidArgument("query arity does not match the store");
   }
-  size_t covered = 0;
-  std::vector<size_t> candidates =
-      CoveringEntries(q.ConstrainedMask(), &covered);
-
-  // Stage 2: among tied candidates, the lowest-variance estimate wins
-  // (first wins ties, keeping routing deterministic). The returned
-  // estimate is exactly the chosen summary's own answer.
+  // Stages 1-2: coverage, then the lowest-variance tied candidate. The
+  // estimate is exactly the chosen summary's own answer — the tie-break's
+  // when one ran.
+  std::optional<QueryEstimate> routed;
+  const size_t index = RouteEntry(q, {}, decision, &routed);
   QueryEstimate best_est;
-  size_t best_index = candidates.front();
-  bool have = false;
-  for (size_t k : candidates) {
-    ASSIGN_OR_RETURN(QueryEstimate est, store_->summary(k).Answer(q));
-    if (!have || est.variance < best_est.variance) {
-      best_est = est;
-      best_index = k;
-      have = true;
-    }
+  if (routed.has_value()) {
+    best_est = *routed;
+  } else {
+    ASSIGN_OR_RETURN(best_est, store_->summary(index).Answer(q));
   }
 
   // Stage 3 (hybrid): the best sample companion challenges the summary
@@ -147,12 +140,7 @@ Result<QueryEstimate> QueryRouter::Answer(const CountingQuery& q,
   ASSIGN_OR_RETURN(
       const bool from_sample,
       HybridChallenge(q, best_est, decision, &sample_index, &sample_est));
-
   if (decision != nullptr) {
-    decision->index = best_index;
-    decision->covered_pairs = covered;
-    decision->candidates = candidates.size();
-    decision->fallback = covered == 0;
     decision->expected_variance =
         from_sample ? sample_est.variance : best_est.variance;
   }

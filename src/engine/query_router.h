@@ -70,14 +70,15 @@ class QueryRouter {
   std::vector<size_t> CoveringEntries(const std::vector<uint8_t>& constrained,
                                       size_t* covered) const;
 
-  /// Stages 1-2 for aggregate routing: the serving summary ENTRY for a
+  /// Stages 1-2, for every kind: the serving summary ENTRY for a
   /// filter whose effective constrained set also includes `extra_attrs`
   /// (aggregate / group-by attributes — the per-value split exercises
   /// their correlations too). Coverage ties break on the filter COUNT's
   /// variance (running the aggregate itself per candidate would cost a
   /// batched derivative pass each); when the tie-break evaluated the
   /// winner's filter count it is handed back through `filter_count` so
-  /// hybrid aggregate routing does not pay the masked evaluation twice.
+  /// hybrid routing does not pay the masked evaluation twice. A tied
+  /// candidate whose answer fails is skipped.
   /// Resets and fills the decision's stage-1/2 fields. An arity-mismatched
   /// query routes to the widest entry — the summary's own validation then
   /// surfaces the error when answering.

@@ -93,9 +93,6 @@ class QueryAnswerer {
   /// Unmasked P (the normalization constant's base).
   double FullPolynomialValue() const { return full_value_; }
 
-  /// The underlying workspace pool (e.g. for capacity introspection).
-  const WorkspacePool& workspace_pool() const { return pool_; }
-
  private:
   /// The COUNT estimate of a masked value: n p and n p (1 - p) for
   /// p = masked / P clamped to [0, 1]. Every count this class reports

@@ -373,26 +373,16 @@ double CompressedPolynomial::ComponentValue(const Component& comp,
   return total;
 }
 
-CompressedPolynomial::EvalContext CompressedPolynomial::Evaluate(
-    const ModelState& state, const QueryMask& mask) const {
+CompressedPolynomial::EvalContext CompressedPolynomial::EvaluateUnmasked(
+    const ModelState& state) const {
   EvalContext ctx;
   const size_t m = domain_sizes_.size();
   ctx.prefix.resize(m);
   ctx.attr_total.resize(m);
 
-  // Per-attribute masked prefix sums; the only O(N_i) work per evaluation.
-  std::vector<double> buf;
+  // Per-attribute prefix sums; the only O(N_i) work per evaluation.
   for (AttrId a = 0; a < m; ++a) {
-    const auto& alpha = state.alpha[a];
-    if (mask.IsAny(a)) {
-      ctx.prefix[a].Build(alpha);
-    } else {
-      buf.assign(alpha.size(), 0.0);
-      for (Code v = 0; v < alpha.size(); ++v) {
-        if (mask.Allows(a, v)) buf[v] = alpha[v];
-      }
-      ctx.prefix[a].Build(buf);
-    }
+    ctx.prefix[a].Build(state.alpha[a]);
     ctx.attr_total[a] = ctx.prefix[a].Total();
   }
 
@@ -413,26 +403,6 @@ CompressedPolynomial::EvalContext CompressedPolynomial::Evaluate(
   ctx.value = ctx.free_product;
   for (double v : ctx.comp_value) ctx.value *= v;
   return ctx;
-}
-
-CompressedPolynomial::EvalContext CompressedPolynomial::EvaluateUnmasked(
-    const ModelState& state) const {
-  return Evaluate(state, QueryMask(domain_sizes_.size()));
-}
-
-void CompressedPolynomial::RefreshAttr(const ModelState& state, AttrId a,
-                                       EvalContext* ctx) const {
-  ctx->prefix[a].Build(state.alpha[a]);
-  ctx->attr_total[a] = ctx->prefix[a].Total();
-  const int c = attr_component_[a];
-  if (c < 0) {
-    ctx->free_product = 1.0;
-    for (AttrId f : free_attrs_) ctx->free_product *= ctx->attr_total[f];
-  } else {
-    ctx->comp_value[c] = ComponentValue(components_[c], *ctx, state);
-  }
-  ctx->value = ctx->free_product;
-  for (double v : ctx->comp_value) ctx->value *= v;
 }
 
 double CompressedPolynomial::GroupProduct(const Component& comp, size_t g,
@@ -458,44 +428,6 @@ double CompressedPolynomial::GroupProduct(const Component& comp, size_t g,
     if (prod == 0.0) return 0.0;
   }
   return prod;
-}
-
-std::vector<double> CompressedPolynomial::AlphaDerivatives(
-    const ModelState& state, const EvalContext& ctx, AttrId a) const {
-  const uint32_t na = domain_sizes_[a];
-  const int c = attr_component_[a];
-
-  if (c < 0) {
-    // Free attribute: P = T_a * Rest, so dP/dalpha_{a,v} = Rest for all v.
-    double rest = 1.0;
-    for (AttrId f : free_attrs_) {
-      if (f != a) rest *= ctx.attr_total[f];
-    }
-    for (double v : ctx.comp_value) rest *= v;
-    return std::vector<double>(na, rest);
-  }
-
-  const Component& comp = components_[c];
-  const size_t pos = attr_local_[a];
-  const size_t nattrs = comp.attrs.size();
-  const double outer = OuterProduct(ctx, c);
-
-  DiffArray diff(na);
-  // Base term contributes prod of the other attributes' totals to every v.
-  double base = 1.0;
-  for (size_t i = 0; i < nattrs; ++i) {
-    if (i != pos) base *= ctx.attr_total[comp.attrs[i]];
-  }
-  diff.RangeAdd(0, na - 1, base);
-  // Each group contributes its cofactor on the group's interval of `a`.
-  for (size_t g = 0; g < comp.num_groups(); ++g) {
-    const Interval& iv = comp.rects[g * nattrs + pos];
-    double cof = GroupProduct(comp, g, ctx, state, pos, UINT32_MAX);
-    if (cof != 0.0) diff.RangeAdd(iv.lo, iv.hi, cof);
-  }
-  std::vector<double> out = diff.Finalize();
-  for (double& v : out) v *= outer;
-  return out;
 }
 
 CompressedPolynomial::DerivativeSet CompressedPolynomial::AllDerivatives(
@@ -633,45 +565,6 @@ CompressedPolynomial::DerivativeSet CompressedPolynomial::AllDerivatives(
   return out;
 }
 
-double CompressedPolynomial::DeltaDerivativeLocal(const ModelState& state,
-                                                  const EvalContext& ctx,
-                                                  uint32_t j) const {
-  const int c = delta_component_[j];
-  const Component& comp = components_[c];
-  double sum = 0.0;
-  for (uint32_t g : comp.stat_groups[delta_local_[j]]) {
-    sum += GroupProduct(comp, g, ctx, state, SIZE_MAX, j);
-  }
-  return sum;
-}
-
-double CompressedPolynomial::DeltaDerivative(const ModelState& state,
-                                             const EvalContext& ctx,
-                                             uint32_t j) const {
-  return OuterProduct(ctx, delta_component_[j]) *
-         DeltaDerivativeLocal(state, ctx, j);
-}
-
-std::vector<std::vector<double>> CompressedPolynomial::GroupRangeSumProducts(
-    const EvalContext& ctx) const {
-  std::vector<std::vector<double>> rs(components_.size());
-  for (size_t c = 0; c < components_.size(); ++c) {
-    const Component& comp = components_[c];
-    const size_t nattrs = comp.attrs.size();
-    rs[c].resize(comp.num_groups());
-    for (size_t g = 0; g < comp.num_groups(); ++g) {
-      const Interval* rect = &comp.rects[g * nattrs];
-      double prod = 1.0;
-      for (size_t i = 0; i < nattrs; ++i) {
-        prod *= ctx.prefix[comp.attrs[i]].RangeSum(rect[i].lo, rect[i].hi);
-        if (prod == 0.0) break;
-      }
-      rs[c][g] = prod;
-    }
-  }
-  return rs;
-}
-
 double CompressedPolynomial::DeltaDerivativeLocalCached(
     const ModelState& state, const std::vector<double>& rs_prod,
     uint32_t j) const {
@@ -704,7 +597,7 @@ double CompressedPolynomial::OuterProduct(const EvalContext& ctx,
 }
 
 // ---------------------------------------------------------------------
-// Workspace tier.
+// Query-facing evaluation.
 // ---------------------------------------------------------------------
 
 template <typename PinFn, typename VisitFn>

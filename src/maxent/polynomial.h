@@ -51,27 +51,26 @@ struct PolynomialOptions {
 /// The polynomial is multilinear: every variable (1-D alpha or
 /// multi-dimensional delta) has degree one, which the solver exploits.
 ///
-/// Two evaluation tiers exist (see docs/PERFORMANCE.md):
-///  - the EvalContext tier: self-contained full evaluations, used by the
-///    solvers and tests, with RefreshAttr for incremental maintenance; and
-///  - the EvalWorkspace tier: cached unmasked factors for the query path,
-///    where a masked evaluation touches only what the mask constrains.
+/// The class serves two callers (see docs/PERFORMANCE.md):
+///  - the solver: full unmasked evaluations into an EvalContext, every
+///    derivative in one sweep, and the fused Gauss-Seidel support that
+///    ComponentSweep drives; and
+///  - the query answerer: masked evaluations against an EvalWorkspace's
+///    cached unmasked factors, touching only what the mask constrains.
+/// The per-variable reference evaluators the tests check both against
+/// live in tests/oracles/closure_oracle.h.
 class ComponentSweep;
 
 class CompressedPolynomial {
  public:
-  /// Builds the compressed structure for the registry's statistics.
-  static Result<CompressedPolynomial> Build(const VariableRegistry& reg,
-                                            PolynomialOptions opts = {});
-
   /// \brief Everything produced by one evaluation pass: P itself plus the
   /// factor caches the derivative and solver paths reuse.
   struct EvalContext {
-    /// Per attribute: prefix sums of (masked) alpha values.
+    /// Per attribute: prefix sums of alpha values.
     std::vector<PrefixSum> prefix;
-    /// Per attribute: T_i under the mask.
+    /// Per attribute: T_i.
     std::vector<double> attr_total;
-    /// Per component: P_c under the mask.
+    /// Per component: P_c.
     std::vector<double> comp_value;
     /// Product of T_i over free attributes.
     double free_product = 1.0;
@@ -102,28 +101,13 @@ class CompressedPolynomial {
     std::vector<double> comp_value;
   };
 
-  /// Evaluates P with some 1-D variables zeroed (Sec 4.2 optimized query
-  /// answering). O(sum_i N_i + total group factors).
-  EvalContext Evaluate(const ModelState& state, const QueryMask& mask) const;
+  // ------------------------------------------------------------------
+  // Solver-facing: full evaluation, all derivatives, and the fused
+  // Gauss-Seidel sweep (with ComponentSweep).
+  // ------------------------------------------------------------------
 
-  /// Evaluates P with no mask.
+  /// Evaluates P with no mask. O(sum_i N_i + total group factors).
   EvalContext EvaluateUnmasked(const ModelState& state) const;
-
-  /// Rebuilds the parts of `ctx` that depend on attribute `a`'s alphas —
-  /// prefix sums, attribute total, the component (or free-attribute) product
-  /// it feeds, and P — after the caller changed them. O(N_a + groups of
-  /// a's component) versus a full re-evaluation's O(sum_i N_i + all
-  /// groups); this is what makes a whole Gauss-Seidel sweep one evaluation.
-  void RefreshAttr(const ModelState& state, AttrId a, EvalContext* ctx) const;
-
-  /// dP/dalpha_{a,v} for every v of attribute `a`, in one batched pass over
-  /// the groups (difference-array trick). `ctx` must come from `state`.
-  /// Because P is linear in the whole alpha family of an attribute
-  /// (overcompleteness, Eq 7), the result does not depend on that family's
-  /// current values.
-  std::vector<double> AlphaDerivatives(const ModelState& state,
-                                       const EvalContext& ctx,
-                                       AttrId a) const;
 
   /// \brief All alpha and delta derivatives in ONE sweep over the groups.
   ///
@@ -131,32 +115,15 @@ class CompressedPolynomial {
   /// walked once with running prefix products and a running suffix product;
   /// the cofactor of factor i is prefix[i] * suffix[i+1], with no division,
   /// so zero factors are exact. Total cost O(sum_g width_g + sum_i N_i) —
-  /// the per-attribute loop this replaces paid the group walk once per
-  /// attribute. Used by the gradient solver and the convergence metric.
+  /// one group walk for every variable of every attribute. Used by the
+  /// convergence metric and the gradient-solver baseline.
   DerivativeSet AllDerivatives(const ModelState& state,
                                const EvalContext& ctx) const;
-
-  /// dP/ddelta_j for one multi-dimensional statistic.
-  double DeltaDerivative(const ModelState& state, const EvalContext& ctx,
-                         uint32_t j) const;
-
-  /// dP_c/ddelta_j restricted to j's component (no outer factors).
-  double DeltaDerivativeLocal(const ModelState& state, const EvalContext& ctx,
-                              uint32_t j) const;
-
-  // ------------------------------------------------------------------
-  // Fused Gauss-Seidel support (the solver's inner loop).
-  // ------------------------------------------------------------------
 
   /// Attribute order that groups families by connected component (free
   /// attributes first). Sweeping in this order lets consecutive families
   /// share the fused refresh below without cross-component fixups.
   const std::vector<AttrId>& FamilyOrder() const { return family_order_; }
-
-  /// Per group of component `c`: product of the (delta_j - 1) factors.
-  /// Fixed for the whole alpha phase of a sweep; computed once per sweep.
-  std::vector<double> ComponentDeltaProducts(int c,
-                                             const ModelState& state) const;
 
   /// Family walk for a FREE attribute `a`: refreshes ctx->free_product /
   /// ctx->value from the current attribute totals and returns the (uniform)
@@ -165,18 +132,10 @@ class CompressedPolynomial {
   std::vector<double> FreeFamilyCofactorsAndRefresh(AttrId a,
                                                     EvalContext* ctx) const;
 
-
-  /// Per component, per group: the product of the group's interval factors
-  /// only (no delta factors) under `ctx`. The solver derives these from
-  /// ComponentSweep's running prefix instead; this direct recomputation is
-  /// the reference implementation the equivalence tests validate that
-  /// prefix (and DeltaDerivativeLocalCached) against.
-  std::vector<std::vector<double>> GroupRangeSumProducts(
-      const EvalContext& ctx) const;
-
-  /// DeltaDerivativeLocal against cached interval products for j's
-  /// component (from GroupRangeSumProducts or ComponentSweep; delta factors
-  /// are read live from `state`).
+  /// dP_c/ddelta_j restricted to j's component (no outer factors), against
+  /// the per-group interval products of j's component that
+  /// ComponentSweep::RangeSumProducts yields (delta factors are read live
+  /// from `state`).
   double DeltaDerivativeLocalCached(const ModelState& state,
                                     const std::vector<double>& rs_prod,
                                     uint32_t j) const;
@@ -184,25 +143,33 @@ class CompressedPolynomial {
   /// Product of all factors of P except component `comp`'s value.
   double OuterProduct(const EvalContext& ctx, int comp) const;
 
+  /// Component index of attribute `a`, or -1 when the attribute is free.
+  int ComponentOfAttr(AttrId a) const { return attr_component_[a]; }
+  /// Component index of multi-dim statistic `j`.
+  int ComponentOfDelta(uint32_t j) const { return delta_component_[j]; }
+
+  size_t NumComponents() const { return components_.size(); }
+
   // ------------------------------------------------------------------
-  // Workspace tier: cached factors for the interactive query path.
+  // Query-facing: masked evaluation against an EvalWorkspace's cached
+  // unmasked factors (the Sec 4.2 rule, incrementally).
   // ------------------------------------------------------------------
 
-  /// Fills (or revalidates) `ws` for `state`: the unmasked EvalContext plus
-  /// per-group interval-factor and delta-factor products. Subsequent masked
-  /// evaluations against the same state reuse all of it; the caller must
-  /// Invalidate() the workspace after mutating the state.
+  /// Fills `ws` for `state`, unless it already holds a factor cache: the
+  /// unmasked EvalContext plus per-group interval-factor and delta-factor
+  /// products. Every masked evaluation on `ws` reuses all of it, so a
+  /// workspace serves one state, which must not change, for its whole life.
   const EvalContext& PrepareWorkspace(const ModelState& state,
                                       EvalWorkspace* ws) const;
 
-  /// \brief Incremental masked evaluation (the Sec 4.2 oracle, cached).
+  /// \brief Incremental masked evaluation (the Sec 4.2 rule, cached).
   ///
   /// Only the attributes the mask constrains get fresh prefix sums, and only
   /// the components containing them get their groups re-walked — untouched
   /// components reuse the cached unmasked value, and every delta-factor
   /// product comes from the workspace cache. The common interactive query
-  /// constrains 1-3 attributes of many, making this far cheaper than
-  /// Evaluate.
+  /// constrains 1-3 attributes of many, making this far cheaper than a
+  /// full evaluation.
   ///
   /// A constrained attribute the mask pins to exactly one code v (a point,
   /// a one-code IN set, BETWEEN v AND v) narrows its component's walk to
@@ -212,7 +179,7 @@ class CompressedPolynomial {
   /// costs O(groups stabbed by the pin) instead of O(all groups); range
   /// masks still walk every group of the touched components. Leaves
   /// per-attribute masked state (pins included) in `ws` for the
-  /// *AlphaDerivatives / PointOverrideValue follow-ups below.
+  /// MaskedAlphaDerivatives / PointOverrideValue follow-ups below.
   MaskedEval MaskedEvaluate(const ModelState& state, const QueryMask& mask,
                             EvalWorkspace* ws) const;
 
@@ -237,12 +204,14 @@ class CompressedPolynomial {
                             const std::vector<Code>& codes,
                             EvalWorkspace* ws) const;
 
-  /// Component index of attribute `a`, or -1 when the attribute is free.
-  int ComponentOfAttr(AttrId a) const { return attr_component_[a]; }
-  /// Component index of multi-dim statistic `j`.
-  int ComponentOfDelta(uint32_t j) const { return delta_component_[j]; }
+  // ------------------------------------------------------------------
+  // Build and size.
+  // ------------------------------------------------------------------
 
-  size_t NumComponents() const { return components_.size(); }
+  /// Builds the compressed structure for the registry's statistics.
+  static Result<CompressedPolynomial> Build(const VariableRegistry& reg,
+                                            PolynomialOptions opts = {});
+
   /// Total number of non-empty compatible statistic sets (the paper's
   /// "summands"), excluding the per-component base terms.
   size_t NumGroups() const;
@@ -261,6 +230,9 @@ class CompressedPolynomial {
  private:
   friend class EvalWorkspace;
   friend class ComponentSweep;
+  /// The tests' reference evaluators (tests/oracles/closure_oracle.h)
+  /// read the closure directly.
+  friend class ClosureOracle;
 
   /// A position with no pinned code (see ForEachReachableGroup).
   static constexpr Code kNoPin = UINT32_MAX;
@@ -310,6 +282,10 @@ class CompressedPolynomial {
   double GroupProduct(const Component& comp, size_t g,
                       const EvalContext& ctx, const ModelState& state,
                       size_t skip_pos, uint32_t skip_stat) const;
+
+  /// Per group of component `c`: product of the (delta_j - 1) factors.
+  std::vector<double> ComponentDeltaProducts(int c,
+                                             const ModelState& state) const;
 
   /// P_c for component `c` under `ctx`'s prefix sums / totals.
   double ComponentValue(const Component& comp, const EvalContext& ctx,
@@ -395,7 +371,7 @@ class ComponentSweep {
   std::vector<double> prefix_run_;
 };
 
-/// \brief Reusable scratch + cache for the workspace evaluation tier.
+/// \brief Reusable scratch + cache for query-facing evaluation.
 ///
 /// A workspace is two halves with very different sharing rules:
 ///
@@ -411,23 +387,11 @@ class ComponentSweep {
 ///    for concurrent use; give each query thread its own (see
 ///    maxent/workspace_pool.h).
 ///
-/// Bound to one (polynomial, state) pair at a time: PrepareWorkspace fills
-/// it, Invalidate() drops it (call after mutating the model state).
+/// Bound to one (polynomial, state) pair for its whole life: the first
+/// PrepareWorkspace fills it, and the state must not change after that.
 class EvalWorkspace {
  public:
   EvalWorkspace() = default;
-
-  /// Drops every cached product; the next use rebuilds from scratch.
-  void Invalidate() {
-    cache_.reset();
-    scratch_ready_ = false;
-  }
-  bool valid() const { return cache_ != nullptr; }
-
-  /// The cached unmasked context (PrepareWorkspace must have run).
-  const CompressedPolynomial::EvalContext& unmasked() const {
-    return cache_->unmasked;
-  }
 
   /// Adopts `other`'s warmed immutable factor cache (a shared_ptr copy, so
   /// O(1)); this workspace then only pays for its private scratch on first

@@ -138,29 +138,35 @@ Result<std::shared_ptr<EntropySummary>> EntropySummary::Parse(
   if (!(in >> token >> n) || token != "n") {
     return Status::Corruption("bad n record");
   }
-  if (!(in >> token >> m) || token != "attrs") {
+  if (!(in >> token) || token != "attrs") {
     return Status::Corruption("bad attrs record");
   }
+  RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, path, "attrs", &m));
   std::vector<std::string> names(m);
   std::vector<uint32_t> sizes(m);
   std::vector<std::vector<double>> targets(m);
   std::vector<std::vector<double>> alphas(m);
   for (size_t a = 0; a < m; ++a) {
-    if (!(in >> names[a] >> sizes[a])) {
-      return Status::Corruption("bad attribute record");
-    }
+    size_t size = 0;
+    if (!(in >> names[a])) return Status::Corruption("bad attribute record");
+    RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, path, "attribute size",
+                            &size));
+    if (size > UINT32_MAX) return Status::Corruption("bad attribute record");
+    sizes[a] = static_cast<uint32_t>(size);
     ASSIGN_OR_RETURN(targets[a], ReadDoubles(in, sizes[a]));
     ASSIGN_OR_RETURN(alphas[a], ReadDoubles(in, sizes[a]));
   }
   size_t k = 0;
-  if (!(in >> token >> k) || token != "mds") {
+  if (!(in >> token) || token != "mds") {
     return Status::Corruption("bad mds record");
   }
+  RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, path, "mds", &k));
   std::vector<MultiDimStatistic> mds(k);
   std::vector<double> deltas(k);
   for (size_t j = 0; j < k; ++j) {
     size_t nattrs = 0;
-    if (!(in >> nattrs)) return Status::Corruption("bad statistic arity");
+    RETURN_NOT_OK(
+        ReadCount(in, kMinNumberBytes, path, "statistic arity", &nattrs));
     mds[j].attrs.resize(nattrs);
     mds[j].ranges.resize(nattrs);
     for (size_t i = 0; i < nattrs; ++i) {
@@ -190,7 +196,8 @@ Result<std::shared_ptr<EntropySummary>> EntropySummary::Parse(
       if (!(in >> kind)) return Status::Corruption("truncated domain");
       if (kind == "cat") {
         size_t count = 0;
-        if (!(in >> count)) return Status::Corruption("bad domain header");
+        RETURN_NOT_OK(
+            ReadCount(in, kMinLabelBytes, path, "domain labels", &count));
         std::string line;
         std::getline(in, line);  // consume the rest of the header line
         std::vector<std::string> labels(count);

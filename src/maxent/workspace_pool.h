@@ -33,11 +33,10 @@ class WorkspacePool {
  public:
   /// `capacity` = 0 sizes the pool to the hardware (at least 2 slots, so
   /// single-core hosts still exercise the multi-slot path under test
-  /// threads). `poly` and `state` must outlive the pool; `state` must
-  /// already be solved.
+  /// threads). Every workspace serves `poly` and `state`; `state` must
+  /// already be solved and must not change while the pool lives.
   WorkspacePool(const CompressedPolynomial& poly, const ModelState& state,
-                size_t capacity = 0)
-      : poly_(poly), state_(state) {
+                size_t capacity = 0) {
     if (capacity == 0) {
       unsigned hw = std::thread::hardware_concurrency();
       capacity = hw > 2 ? hw : 2;
@@ -45,7 +44,7 @@ class WorkspacePool {
     slots_ = std::vector<Slot>(capacity);
     // Warm slot 0 eagerly: builds the shared factor cache and gives the
     // caller the unmasked P without a separate evaluation.
-    full_value_ = poly_.PrepareWorkspace(state_, &slots_[0].ws).value;
+    full_value_ = poly.PrepareWorkspace(state, &slots_[0].ws).value;
     for (size_t i = 1; i < slots_.size(); ++i) {
       slots_[i].ws.ShareCacheWith(slots_[0].ws);
     }
@@ -110,8 +109,6 @@ class WorkspacePool {
   size_t capacity() const { return slots_.size(); }
   /// Unmasked P, from the eager warm-up.
   double full_value() const { return full_value_; }
-  const CompressedPolynomial& polynomial() const { return poly_; }
-  const ModelState& state() const { return state_; }
 
  private:
   struct Slot {
@@ -119,8 +116,6 @@ class WorkspacePool {
     EvalWorkspace ws;
   };
 
-  const CompressedPolynomial& poly_;
-  const ModelState& state_;
   mutable std::vector<Slot> slots_;
   mutable std::atomic<size_t> next_{0};
   double full_value_ = 0.0;

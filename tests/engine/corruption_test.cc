@@ -15,6 +15,7 @@
 #include "engine/engine.h"
 #include "engine/ingest.h"
 #include "engine/sharded_store.h"
+#include "maxent/summary.h"
 
 namespace entropydb {
 namespace {
@@ -356,6 +357,67 @@ TEST_F(CorruptionTest, BadSampleWeightIsCorruption) {
     EXPECT_NE(opened.status().message().find("sample_0.eds"),
               std::string::npos)
         << opened.status().ToString();
+  }
+}
+
+TEST_F(CorruptionTest, OversizedSummaryCountsAreCorruption) {
+  // Counts no payload could hold, under a valid footer: each must fail the
+  // load as kCorruption naming the file and the record, before anything
+  // is sized by it (not throw std::bad_alloc).
+  const std::string dir = Clone(MonoDir());
+  const std::string path = dir + "/summary_0.edb";
+  auto payload = ReadChecksummedFile(Env::Default(), path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const std::string& p = *payload;
+  // Start of the first line beginning with `prefix`, and of the next line.
+  auto line_at = [&](const std::string& prefix) {
+    const size_t at = p.find("\n" + prefix);
+    return at == std::string::npos ? at : at + 1;
+  };
+  auto next_line = [&](size_t at) { return p.find('\n', at) + 1; };
+  // `p` with [at, the first `stop` after at) replaced by `text`.
+  auto splice = [&](size_t at, char stop, const std::string& text) {
+    return p.substr(0, at) + text + p.substr(p.find(stop, at));
+  };
+  const size_t attrs = line_at("attrs ");
+  const size_t mds = line_at("mds ");
+  const size_t domains = line_at("domains ");
+  ASSERT_NE(attrs, std::string::npos);
+  ASSERT_NE(mds, std::string::npos);
+  ASSERT_NE(domains, std::string::npos);
+  const size_t attr0 = next_line(attrs);
+  const std::string name0 = p.substr(attr0, p.find(' ', attr0) - attr0);
+  const std::string huge = "100000000000000";
+  struct Case {
+    std::string record;
+    std::string payload;
+  };
+  const std::vector<Case> cases = {
+      {"", p},  // unedited: must still load
+      {"attrs", splice(attrs, '\n', "attrs " + huge)},
+      {"attribute size", splice(attr0, '\n', name0 + " 4000000000")},
+      {"mds", splice(mds, '\n', "mds " + huge)},
+      {"statistic arity", splice(next_line(mds), ' ', huge)},
+      {"domain labels", splice(next_line(domains), '\n', "cat " + huge)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.record);
+    ASSERT_TRUE(WriteChecksummedFile(Env::Default(), path, c.payload).ok());
+    EXPECT_NO_THROW({
+      auto loaded = EntropySummary::Load(path);
+      if (c.record.empty()) {
+        EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+      } else {
+        EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+            << loaded.status().ToString();
+        EXPECT_NE(loaded.status().message().find("summary_0.edb"),
+                  std::string::npos)
+            << loaded.status().ToString();
+        EXPECT_NE(loaded.status().message().find(c.record),
+                  std::string::npos)
+            << loaded.status().ToString();
+      }
+    });
   }
 }
 

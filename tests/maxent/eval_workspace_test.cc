@@ -5,6 +5,7 @@
 #include "../test_util.h"
 #include "common/rng.h"
 #include "maxent/polynomial.h"
+#include "oracles/closure_oracle.h"
 
 namespace entropydb {
 namespace {
@@ -100,6 +101,7 @@ Fixture MakePairSetup(uint64_t seed) {
 /// on the same attribute follows each pin, so a stale pin would surface.
 void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
   const size_t m = s.reg.num_attributes();
+  const ClosureOracle oracle(s.poly);
   EvalWorkspace ws;
   for (AttrId a = 0; a < m; ++a) {
     const uint32_t na = s.reg.domain_size(a);
@@ -109,7 +111,7 @@ void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
       one[v] = 1;
       mask.Restrict(a, std::move(one));
       ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
-                  s.poly.Evaluate(s.state, mask).value, "pinned value");
+                  oracle.Evaluate(s.state, mask).value, "pinned value");
       for (AttrId b = 0; b < m; ++b) {
         if (b == a) continue;
         const uint32_t nb = s.reg.domain_size(b);
@@ -118,7 +120,7 @@ void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
         const auto eval = s.poly.MaskedEvaluate(s.state, by, &ws);
         const auto got = s.poly.MaskedAlphaDerivatives(s.state, eval, b, &ws);
         const auto want =
-            s.poly.AlphaDerivatives(s.state, s.poly.Evaluate(s.state, by), b);
+            oracle.AlphaDerivatives(s.state, oracle.Evaluate(s.state, by), b);
         for (Code w = 0; w < nb; ++w) {
           ExpectClose(got[w], want[w], "pinned group-by cofactor");
           QueryMask point = by;
@@ -126,7 +128,7 @@ void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
           key[w] = 1;
           point.Restrict(b, std::move(key));
           ExpectClose(s.poly.PointOverrideValue(s.state, eval, {b}, {w}, &ws),
-                      s.poly.Evaluate(s.state, point).value,
+                      oracle.Evaluate(s.state, point).value,
                       "pinned point override");
         }
       }
@@ -135,7 +137,7 @@ void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
       range[v == 0 ? 1 : v - 1] = 1;
       mask.Restrict(a, std::move(range));
       ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
-                  s.poly.Evaluate(s.state, mask).value, "range after a pin");
+                  oracle.Evaluate(s.state, mask).value, "range after a pin");
     }
   }
 }
@@ -147,10 +149,11 @@ TEST(EvalWorkspaceTest, PinnedWalksMatchReferenceOnEveryCode) {
 
 TEST(EvalWorkspaceTest, MaskedEvaluateMatchesFreshAcrossRandomMasks) {
   Fixture s = MakeSetup(101);
+  const ClosureOracle oracle(s.poly);
   EvalWorkspace ws;
   for (int trial = 0; trial < 40; ++trial) {
     QueryMask mask = RandomMask(s.reg, 500 + trial, 0.5);
-    const double fresh = s.poly.Evaluate(s.state, mask).value;
+    const double fresh = oracle.Evaluate(s.state, mask).value;
     const double cached = s.poly.MaskedEvaluate(s.state, mask, &ws).value;
     ExpectClose(cached, fresh, "masked value");
   }
@@ -161,12 +164,13 @@ TEST(EvalWorkspaceTest, WorkspaceReuseDoesNotLeakAcrossMasks) {
   // masked prefix or effective total from a previous query must not
   // surface.
   Fixture s = MakeSetup(102);
+  const ClosureOracle oracle(s.poly);
   EvalWorkspace ws;
   for (int trial = 0; trial < 30; ++trial) {
     const double p = (trial % 2 == 0) ? 0.9 : 0.15;
     QueryMask mask = RandomMask(s.reg, 900 + trial, p);
     ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
-                s.poly.Evaluate(s.state, mask).value, "alternating masks");
+                oracle.Evaluate(s.state, mask).value, "alternating masks");
   }
   // The all-ANY mask must return the cached unmasked value exactly.
   QueryMask any(s.reg.num_attributes());
@@ -176,10 +180,11 @@ TEST(EvalWorkspaceTest, WorkspaceReuseDoesNotLeakAcrossMasks) {
 
 TEST(EvalWorkspaceTest, AllDerivativesMatchPerVariablePaths) {
   Fixture s = MakeSetup(103);
+  const ClosureOracle oracle(s.poly);
   auto ctx = s.poly.EvaluateUnmasked(s.state);
   const auto all = s.poly.AllDerivatives(s.state, ctx);
   for (AttrId a = 0; a < s.reg.num_attributes(); ++a) {
-    const auto want = s.poly.AlphaDerivatives(s.state, ctx, a);
+    const auto want = oracle.AlphaDerivatives(s.state, ctx, a);
     ASSERT_EQ(all.alpha[a].size(), want.size());
     for (Code v = 0; v < want.size(); ++v) {
       EXPECT_NEAR(all.alpha[a][v], want[v],
@@ -188,10 +193,10 @@ TEST(EvalWorkspaceTest, AllDerivativesMatchPerVariablePaths) {
     }
   }
   for (uint32_t j = 0; j < s.reg.num_multi_dim(); ++j) {
-    ExpectClose(all.delta[j], s.poly.DeltaDerivative(s.state, ctx, j),
+    ExpectClose(all.delta[j], oracle.DeltaDerivative(s.state, ctx, j),
                 "delta derivative");
     ExpectClose(all.delta_local[j],
-                s.poly.DeltaDerivativeLocal(s.state, ctx, j),
+                oracle.DeltaDerivativeLocal(s.state, ctx, j),
                 "local delta derivative");
   }
 }
@@ -200,6 +205,7 @@ TEST(EvalWorkspaceTest, AllDerivativesMatchNaiveSkipRecomputation) {
   // The sweep's cofactors against the definitionally-naive path: zero one
   // variable, re-evaluate, divide the difference by the variable's value.
   Fixture s = MakeSetup(104);
+  const ClosureOracle oracle(s.poly);
   auto ctx = s.poly.EvaluateUnmasked(s.state);
   const auto all = s.poly.AllDerivatives(s.state, ctx);
   const double naive_tol = 1e-9;  // subtraction loses a few digits
@@ -211,7 +217,7 @@ TEST(EvalWorkspaceTest, AllDerivativesMatchNaiveSkipRecomputation) {
       std::vector<uint8_t> allow(s.reg.domain_size(a), 1);
       allow[v] = 0;
       mask.Restrict(a, std::move(allow));
-      const double without = s.poly.Evaluate(s.state, mask).value;
+      const double without = oracle.Evaluate(s.state, mask).value;
       const double naive = (ctx.value - without) / alpha;
       EXPECT_NEAR(all.alpha[a][v], naive,
                   naive_tol * std::max(1.0, std::abs(naive)))
@@ -220,25 +226,9 @@ TEST(EvalWorkspaceTest, AllDerivativesMatchNaiveSkipRecomputation) {
   }
 }
 
-TEST(EvalWorkspaceTest, RefreshAttrMatchesFreshEvaluation) {
-  Fixture s = MakeSetup(105);
-  auto ctx = s.poly.EvaluateUnmasked(s.state);
-  Rng rng(42);
-  for (AttrId a = 0; a < s.reg.num_attributes(); ++a) {
-    for (auto& v : s.state.alpha[a]) v = 0.05 + rng.NextDouble();
-    s.poly.RefreshAttr(s.state, a, &ctx);
-    auto fresh = s.poly.EvaluateUnmasked(s.state);
-    ExpectClose(ctx.value, fresh.value, "refreshed P");
-    for (size_t c = 0; c < fresh.comp_value.size(); ++c) {
-      ExpectClose(ctx.comp_value[c], fresh.comp_value[c],
-                  "refreshed component");
-    }
-    ExpectClose(ctx.free_product, fresh.free_product, "refreshed free product");
-  }
-}
-
 TEST(EvalWorkspaceTest, MaskedAlphaDerivativesMatchContextPath) {
   Fixture s = MakeSetup(106);
+  const ClosureOracle oracle(s.poly);
   EvalWorkspace ws;
   for (int trial = 0; trial < 10; ++trial) {
     for (AttrId a = 0; a < s.reg.num_attributes(); ++a) {
@@ -248,8 +238,8 @@ TEST(EvalWorkspaceTest, MaskedAlphaDerivativesMatchContextPath) {
       mask.Restrict(a, std::move(all_pass));
       const auto eval = s.poly.MaskedEvaluate(s.state, mask, &ws);
       const auto got = s.poly.MaskedAlphaDerivatives(s.state, eval, a, &ws);
-      auto ctx = s.poly.Evaluate(s.state, mask);
-      const auto want = s.poly.AlphaDerivatives(s.state, ctx, a);
+      auto ctx = oracle.Evaluate(s.state, mask);
+      const auto want = oracle.AlphaDerivatives(s.state, ctx, a);
       for (Code v = 0; v < s.reg.domain_size(a); ++v) {
         EXPECT_NEAR(got[v], want[v],
                     kRelTol * std::max(1.0, std::abs(want[v])))
@@ -261,6 +251,7 @@ TEST(EvalWorkspaceTest, MaskedAlphaDerivativesMatchContextPath) {
 
 TEST(EvalWorkspaceTest, PointOverrideValueMatchesPointMaskedEvaluation) {
   Fixture s = MakeSetup(107);
+  const ClosureOracle oracle(s.poly);
   EvalWorkspace ws;
   Rng rng(7);
   // Pin pairs spanning the same component, different components, and a
@@ -287,7 +278,7 @@ TEST(EvalWorkspaceTest, PointOverrideValueMatchesPointMaskedEvaluation) {
         allow[codes[i]] = 1;
         point_mask.Restrict(attrs[i], std::move(allow));
       }
-      const double want = s.poly.Evaluate(s.state, point_mask).value;
+      const double want = oracle.Evaluate(s.state, point_mask).value;
       ExpectClose(got, want, "point-override value");
     }
   }
@@ -295,12 +286,13 @@ TEST(EvalWorkspaceTest, PointOverrideValueMatchesPointMaskedEvaluation) {
 
 TEST(EvalWorkspaceTest, CachedDeltaLocalMatchesUncached) {
   Fixture s = MakeSetup(108);
+  const ClosureOracle oracle(s.poly);
   auto ctx = s.poly.EvaluateUnmasked(s.state);
-  const auto rs = s.poly.GroupRangeSumProducts(ctx);
+  const auto rs = oracle.GroupRangeSumProducts(ctx);
   for (uint32_t j = 0; j < s.reg.num_multi_dim(); ++j) {
     const auto& rs_c = rs[s.poly.ComponentOfDelta(j)];
     ExpectClose(s.poly.DeltaDerivativeLocalCached(s.state, rs_c, j),
-                s.poly.DeltaDerivativeLocal(s.state, ctx, j),
+                oracle.DeltaDerivativeLocal(s.state, ctx, j),
                 "cached local delta derivative");
   }
 }
@@ -310,6 +302,7 @@ TEST(EvalWorkspaceTest, ComponentSweepCofactorsMatchPerAttributePath) {
   // phase (without updates) and check each family's cofactors and the
   // finished interval products against the reference paths.
   Fixture s = MakeSetup(112);
+  const ClosureOracle oracle(s.poly);
   auto ctx = s.poly.EvaluateUnmasked(s.state);
   std::vector<ComponentSweep> sweeps;
   for (size_t c = 0; c < s.poly.NumComponents(); ++c) {
@@ -322,7 +315,7 @@ TEST(EvalWorkspaceTest, ComponentSweepCofactorsMatchPerAttributePath) {
     if (c != prev_comp) sweeps[c].BeginSweep(s.state, ctx);
     prev_comp = c;
     const auto got = sweeps[c].FamilyCofactors(a, &ctx);
-    const auto want = s.poly.AlphaDerivatives(s.state, ctx, a);
+    const auto want = oracle.AlphaDerivatives(s.state, ctx, a);
     for (Code v = 0; v < s.reg.domain_size(a); ++v) {
       EXPECT_NEAR(got[v], want[v], kRelTol * std::max(1.0, std::abs(want[v])))
           << "attr " << a << " value " << v;
@@ -332,7 +325,7 @@ TEST(EvalWorkspaceTest, ComponentSweepCofactorsMatchPerAttributePath) {
   // After every family advanced, the running prefix is the per-group
   // interval product, and the derived component value matches evaluation.
   auto fresh = s.poly.EvaluateUnmasked(s.state);
-  const auto rs_ref = s.poly.GroupRangeSumProducts(fresh);
+  const auto rs_ref = oracle.GroupRangeSumProducts(fresh);
   for (size_t c = 0; c < s.poly.NumComponents(); ++c) {
     const auto& rs = sweeps[c].RangeSumProducts();
     ASSERT_EQ(rs.size(), rs_ref[c].size());
@@ -342,19 +335,6 @@ TEST(EvalWorkspaceTest, ComponentSweepCofactorsMatchPerAttributePath) {
     ExpectClose(sweeps[c].ComponentValue(fresh), fresh.comp_value[c],
                 "sweep component value");
   }
-}
-
-TEST(EvalWorkspaceTest, InvalidateRebindsToNewState) {
-  Fixture s = MakeSetup(109);
-  EvalWorkspace ws;
-  QueryMask mask = RandomMask(s.reg, 1900, 0.5);
-  (void)s.poly.MaskedEvaluate(s.state, mask, &ws);
-  // Mutate the state; a stale workspace would keep answering for the old
-  // one.
-  s.state.alpha[0][0] *= 3.0;
-  ws.Invalidate();
-  ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
-              s.poly.Evaluate(s.state, mask).value, "post-invalidate value");
 }
 
 TEST(EvalWorkspaceTest, ParallelComponentPathMatchesSerial) {
@@ -407,17 +387,18 @@ TEST(EvalWorkspaceTest, NoComponentPolynomialStillWorks) {
   auto reg = MakeRegistry(*table, {});
   auto poly = CompressedPolynomial::Build(reg);
   ASSERT_TRUE(poly.ok());
+  const ClosureOracle oracle(*poly);
   ModelState st = RandomState(reg, 111);
   EvalWorkspace ws;
   for (int trial = 0; trial < 10; ++trial) {
     QueryMask mask = RandomMask(reg, 2000 + trial, 0.6);
     ExpectClose(poly->MaskedEvaluate(st, mask, &ws).value,
-                poly->Evaluate(st, mask).value, "free-only masked value");
+                oracle.Evaluate(st, mask).value, "free-only masked value");
   }
   auto ctx = poly->EvaluateUnmasked(st);
   const auto all = poly->AllDerivatives(st, ctx);
   for (AttrId a = 0; a < reg.num_attributes(); ++a) {
-    const auto want = poly->AlphaDerivatives(st, ctx, a);
+    const auto want = oracle.AlphaDerivatives(st, ctx, a);
     for (Code v = 0; v < want.size(); ++v) {
       ExpectClose(all.alpha[a][v], want[v], "free-only alpha derivative");
     }

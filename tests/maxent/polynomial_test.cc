@@ -4,6 +4,7 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
+#include "oracles/closure_oracle.h"
 #include "oracles/dense_model.h"
 
 namespace entropydb {
@@ -49,6 +50,27 @@ QueryMask RandomMask(const VariableRegistry& reg, uint64_t seed) {
     }
   }
   return mask;
+}
+
+/// The solver's single-sweep AllDerivatives against enumeration, for every
+/// alpha and delta variable.
+void ExpectAllDerivativesMatchDense(const CompressedPolynomial& poly,
+                                    const DenseMaxEntModel& dense,
+                                    const VariableRegistry& reg,
+                                    const ModelState& st) {
+  const auto all = poly.AllDerivatives(st, poly.EvaluateUnmasked(st));
+  for (AttrId a = 0; a < reg.num_attributes(); ++a) {
+    for (Code v = 0; v < reg.domain_size(a); ++v) {
+      double want = dense.AlphaDerivative(st, a, v);
+      EXPECT_NEAR(all.alpha[a][v], want, 1e-10 * std::max(1.0, std::abs(want)))
+          << "AllDerivatives attr " << a << " value " << v;
+    }
+  }
+  for (uint32_t j = 0; j < reg.num_multi_dim(); ++j) {
+    double want = dense.DeltaDerivative(st, j);
+    EXPECT_NEAR(all.delta[j], want, 1e-10 * std::max(1.0, std::abs(want)))
+        << "AllDerivatives stat " << j;
+  }
 }
 
 TEST(PolynomialTest, OneDOnlyFactorizes) {
@@ -124,6 +146,7 @@ TEST_P(PolynomialSweepTest, CompressedMatchesDense) {
   auto dense = DenseMaxEntModel::Create(reg);
   ASSERT_TRUE(dense.ok());
 
+  const ClosureOracle oracle(*poly);
   ModelState st = RandomState(reg, p.seed + 100);
 
   // Unmasked evaluation.
@@ -132,18 +155,22 @@ TEST_P(PolynomialSweepTest, CompressedMatchesDense) {
   ASSERT_GT(dense_p, 0.0);
   EXPECT_NEAR(ctx.value / dense_p, 1.0, 1e-10);
 
-  // Masked evaluations.
+  // Masked evaluations: the reference and the query path's cached walk.
+  EvalWorkspace ws;
   for (int trial = 0; trial < 6; ++trial) {
     QueryMask mask = RandomMask(reg, p.seed + 200 + trial);
-    double compressed = poly->Evaluate(st, mask).value;
+    double compressed = oracle.Evaluate(st, mask).value;
     double dense_masked = dense->Evaluate(st, mask);
     EXPECT_NEAR(compressed, dense_masked,
                 1e-10 * std::max(1.0, std::abs(dense_masked)));
+    EXPECT_NEAR(poly->MaskedEvaluate(st, mask, &ws).value, dense_masked,
+                1e-10 * std::max(1.0, std::abs(dense_masked)))
+        << "trial " << trial;
   }
 
   // Alpha derivatives, every attribute and value.
   for (AttrId a = 0; a < reg.num_attributes(); ++a) {
-    auto got = poly->AlphaDerivatives(st, ctx, a);
+    auto got = oracle.AlphaDerivatives(st, ctx, a);
     for (Code v = 0; v < reg.domain_size(a); ++v) {
       double want = dense->AlphaDerivative(st, a, v);
       EXPECT_NEAR(got[v], want, 1e-10 * std::max(1.0, std::abs(want)))
@@ -154,10 +181,12 @@ TEST_P(PolynomialSweepTest, CompressedMatchesDense) {
   // Delta derivatives.
   for (uint32_t j = 0; j < reg.num_multi_dim(); ++j) {
     double want = dense->DeltaDerivative(st, j);
-    EXPECT_NEAR(poly->DeltaDerivative(st, ctx, j), want,
+    EXPECT_NEAR(oracle.DeltaDerivative(st, ctx, j), want,
                 1e-10 * std::max(1.0, std::abs(want)))
         << "stat " << j;
   }
+
+  ExpectAllDerivativesMatchDense(*poly, *dense, reg, st);
 }
 
 TEST_P(PolynomialSweepTest, OvercompletenessIdentity) {
@@ -174,10 +203,11 @@ TEST_P(PolynomialSweepTest, OvercompletenessIdentity) {
   auto reg = MakeRegistry(*table, stats);
   auto poly = CompressedPolynomial::Build(reg);
   ASSERT_TRUE(poly.ok());
+  const ClosureOracle oracle(*poly);
   ModelState st = RandomState(reg, p.seed + 300);
   auto ctx = poly->EvaluateUnmasked(st);
   for (AttrId a = 0; a < reg.num_attributes(); ++a) {
-    auto deriv = poly->AlphaDerivatives(st, ctx, a);
+    auto deriv = oracle.AlphaDerivatives(st, ctx, a);
     double sum = 0.0;
     for (Code v = 0; v < reg.domain_size(a); ++v) {
       sum += st.alpha[a][v] * deriv[v];
@@ -243,21 +273,33 @@ TEST(PolynomialTest, Mixed2DAnd3DStatisticsMatchDense) {
   ASSERT_TRUE(poly.ok());
   auto dense = DenseMaxEntModel::Create(reg);
   ASSERT_TRUE(dense.ok());
+  const ClosureOracle oracle(*poly);
   ModelState st = RandomState(reg, 63);
   auto ctx = poly->EvaluateUnmasked(st);
   EXPECT_NEAR(ctx.value, dense->EvaluateUnmasked(st),
               1e-10 * std::abs(dense->EvaluateUnmasked(st)));
   for (uint32_t j = 0; j < reg.num_multi_dim(); ++j) {
     double want = dense->DeltaDerivative(st, j);
-    EXPECT_NEAR(poly->DeltaDerivative(st, ctx, j), want,
+    EXPECT_NEAR(oracle.DeltaDerivative(st, ctx, j), want,
                 1e-10 * std::max(1.0, std::abs(want)));
   }
   for (AttrId a = 0; a < 3; ++a) {
-    auto got = poly->AlphaDerivatives(st, ctx, a);
+    auto got = oracle.AlphaDerivatives(st, ctx, a);
     for (Code v = 0; v < 4; ++v) {
       double want = dense->AlphaDerivative(st, a, v);
       EXPECT_NEAR(got[v], want, 1e-10 * std::max(1.0, std::abs(want)));
     }
+  }
+  ExpectAllDerivativesMatchDense(*poly, *dense, reg, st);
+
+  // The query path's cached masked walk over the mixed-arity groups.
+  EvalWorkspace ws;
+  for (int trial = 0; trial < 6; ++trial) {
+    QueryMask mask = RandomMask(reg, 64 + trial);
+    const double want = dense->Evaluate(st, mask);
+    EXPECT_NEAR(poly->MaskedEvaluate(st, mask, &ws).value, want,
+                1e-10 * std::max(1.0, std::abs(want)))
+        << "trial " << trial;
   }
 }
 
@@ -296,7 +338,7 @@ TEST(PolynomialTest, MaskZeroingKillsExactlyExcludedMonomials) {
   ModelState st = RandomState(reg, 30);
   QueryMask mask(2);
   mask.Restrict(0, std::vector<uint8_t>(3, 0));
-  EXPECT_DOUBLE_EQ(poly->Evaluate(st, mask).value, 0.0);
+  EXPECT_DOUBLE_EQ(ClosureOracle(*poly).Evaluate(st, mask).value, 0.0);
 }
 
 TEST(PolynomialTest, CompressedSizeIsFarBelowUncompressed) {
