@@ -82,15 +82,14 @@ void BM_MaskedEvalFresh(benchmark::State& state) {
   auto& f = LatencyFixture::Get();
   const auto& poly = f.summary->polynomial();
   const auto& st = f.summary->state();
-  QueryMask mask =
-      QueryMask::FromQuery(f.single_pred_query,
-                           f.summary->registry().domain_sizes());
+  const CountingQuery& q = f.single_pred_query;
   ModelState zeroed = st;
   for (auto _ : state) {
     for (AttrId a = 0; a < zeroed.alpha.size(); ++a) {
-      if (mask.IsAny(a)) continue;
+      const AttrPredicate& pred = q.predicate(a);
+      if (pred.is_any()) continue;
       for (Code v = 0; v < zeroed.alpha[a].size(); ++v) {
-        zeroed.alpha[a][v] = mask.Allows(a, v) ? st.alpha[a][v] : 0.0;
+        zeroed.alpha[a][v] = pred.Matches(v) ? st.alpha[a][v] : 0.0;
       }
     }
     auto ctx = poly.EvaluateUnmasked(zeroed);
@@ -100,17 +99,14 @@ void BM_MaskedEvalFresh(benchmark::State& state) {
 BENCHMARK(BM_MaskedEvalFresh);
 
 void BM_MaskedEvalCached(benchmark::State& state) {
-  // The new path: same mask, served from a warmed EvalWorkspace.
+  // The new path: same query, served from a warmed EvalWorkspace.
   auto& f = LatencyFixture::Get();
   const auto& poly = f.summary->polynomial();
   const auto& st = f.summary->state();
-  QueryMask mask =
-      QueryMask::FromQuery(f.single_pred_query,
-                           f.summary->registry().domain_sizes());
   EvalWorkspace ws;
   poly.PrepareWorkspace(st, &ws);
   for (auto _ : state) {
-    auto eval = poly.MaskedEvaluate(st, mask, &ws);
+    auto eval = poly.MaskedEvaluate(st, f.single_pred_query, &ws);
     benchmark::DoNotOptimize(eval.value);
   }
 }

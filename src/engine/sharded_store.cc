@@ -370,9 +370,11 @@ Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
     return Status::Corruption("bad wal_sealed record in " + dir);
   }
   size_t ns = 0;
-  if (!(in >> token >> ns) || token != "shards" || ns == 0) {
+  if (!(in >> token) || token != "shards") {
     return Status::Corruption("bad shards record in " + dir);
   }
+  RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, path, "shards", &ns));
+  if (ns == 0) return Status::Corruption("bad shards record in " + dir);
   m.shard_dirs.resize(ns);
   for (size_t s = 0; s < ns; ++s) {
     if (!(in >> token >> m.shard_dirs[s]) || token != "shard") {
@@ -389,9 +391,11 @@ Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
       }
     } else if (token == "shardrows") {
       size_t nr = 0;
-      if (!m.shard_rows.empty() || !(in >> nr) || nr != ns) {
+      if (!m.shard_rows.empty()) {
         return Status::Corruption("bad shardrows record in " + dir);
       }
+      RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, path, "shardrows", &nr));
+      if (nr != ns) return Status::Corruption("bad shardrows record in " + dir);
       m.shard_rows.resize(nr);
       for (size_t r = 0; r < nr; ++r) {
         if (!(in >> token >> m.shard_rows[r]) || token != "shardrow") {

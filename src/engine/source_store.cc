@@ -26,17 +26,19 @@ void WritePairs(std::ostream& out, const std::vector<ScoredPair>& pairs) {
   }
 }
 
-Status ReadPairs(std::istream& in, const std::string& dir,
+Status ReadPairs(std::istringstream& in, const std::string& path,
                  std::vector<ScoredPair>* pairs) {
   std::string token;
   size_t npairs = 0;
-  if (!(in >> token >> npairs) || token != "pairs") {
-    return Status::Corruption("bad pair record in " + dir);
+  if (!(in >> token) || token != "pairs") {
+    return Status::Corruption("bad pair record in " + path);
   }
+  // A pair is two attribute ids and a score.
+  RETURN_NOT_OK(ReadCount(in, 3 * kMinNumberBytes, path, "pairs", &npairs));
   pairs->resize(npairs);
   for (ScoredPair& p : *pairs) {
     if (!(in >> p.a >> p.b >> p.cramers_v)) {
-      return Status::Corruption("bad pair record in " + dir);
+      return Status::Corruption("bad pair record in " + path);
     }
   }
   return Status::OK();
@@ -273,6 +275,7 @@ Result<std::shared_ptr<SourceStore>> SourceStore::LoadFrom(
     const std::string& dir, SummaryOptions opts,
     const std::function<Result<std::string>(const std::string&)>& read) {
   ASSIGN_OR_RETURN(std::string payload, read("MANIFEST"));
+  const std::string manifest = (fs::path(dir) / "MANIFEST").string();
   std::istringstream in(payload);
   std::string token;
   if (!(in >> token) || token != "ENTROPYDB_STORE_V4") {
@@ -285,31 +288,36 @@ Result<std::shared_ptr<SourceStore>> SourceStore::LoadFrom(
         " (open sharded stores through EntropyEngine)");
   }
   size_t k = 0;
-  if (!(in >> token >> k) || token != "summaries" || k == 0) {
+  if (!(in >> token) || token != "summaries") {
     return Status::Corruption("bad summaries record in " + dir);
   }
+  RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, manifest, "summaries", &k));
+  if (k == 0) return Status::Corruption("bad summaries record in " + dir);
   std::vector<std::string> files(k);
   std::vector<StoreEntry> entries(k);
   for (size_t i = 0; i < k; ++i) {
     if (!(in >> token >> files[i]) || token != "entry") {
       return Status::Corruption("bad store entry record in " + dir);
     }
-    Status ps = ReadPairs(in, dir, &entries[i].pairs);
-    if (!ps.ok()) return ps;
+    RETURN_NOT_OK(ReadPairs(in, manifest, &entries[i].pairs));
   }
 
   size_t ns = 0;
-  if (!(in >> token >> ns) || token != "samples") {
+  if (!(in >> token) || token != "samples") {
     return Status::Corruption("bad samples record in " + dir);
   }
+  RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, manifest, "samples", &ns));
   std::vector<std::string> sample_files(ns);
   std::vector<SampleEntry> samples(ns);
+  std::vector<std::shared_ptr<WeightedSample>> parsed(ns);
   for (size_t i = 0; i < ns; ++i) {
     if (!(in >> token >> sample_files[i]) || token != "sample") {
       return Status::Corruption("bad store sample record in " + dir);
     }
-    Status ps = ReadPairs(in, dir, &samples[i].pairs);
-    if (!ps.ok()) return ps;
+    RETURN_NOT_OK(ReadPairs(in, manifest, &samples[i].pairs));
+  }
+  if (in >> token) {
+    return Status::Corruption("trailing data after the samples in " + manifest);
   }
 
   // Source loads are independent (each summary rebuilds its own compressed
@@ -325,8 +333,8 @@ Result<std::shared_ptr<SourceStore>> SourceStore::LoadFrom(
                          EntropySummary::Parse(contents, path, opts));
       } else {
         ASSIGN_OR_RETURN(WeightedSample sample, ParseSample(contents, path));
-        samples[i - k].sample =
-            std::make_shared<WeightedSample>(std::move(sample));
+        parsed[i - k] = std::make_shared<WeightedSample>(std::move(sample));
+        samples[i - k].sample = parsed[i - k];
       }
       return Status::OK();
     }();
@@ -357,6 +365,11 @@ Result<std::shared_ptr<SourceStore>> SourceStore::LoadFrom(
       return Status::Corruption("pair attribute out of range in " + dir);
     }
   }
+  // FromParts checked each sample's domains against the summaries', so
+  // the indexes they size are bounded by the summaries' bytes.
+  ParallelFor(ns, 2, [&](size_t i) {
+    parsed[i]->index = SampleIndex::Build(*parsed[i]->rows);
+  });
   return store;
 }
 

@@ -19,9 +19,8 @@ Result<QueryEstimate> QueryAnswerer::Answer(const CountingQuery& q) const {
   if (!(full_value_ > 0.0)) {
     return Status::FailedPrecondition("summary is not solved (P <= 0)");
   }
-  QueryMask mask = QueryMask::FromQuery(q, reg_.domain_sizes());
   WorkspacePool::Lease lease = pool_.Acquire();
-  return CountOf(poly_.MaskedEvaluate(state_, mask, lease.get()).value);
+  return CountOf(poly_.MaskedEvaluate(state_, q, lease.get()).value);
 }
 
 QueryEstimate QueryAnswerer::CountOf(double masked) const {
@@ -132,13 +131,12 @@ Result<std::vector<QueryEstimate>> QueryAnswerer::GroupByAttribute(
   // per-value masked cofactors then split the filtered mass by value.
   CountingQuery relaxed = base;
   relaxed.Where(a, AttrPredicate::Any());
-  QueryMask mask = QueryMask::FromQuery(relaxed, reg_.domain_sizes());
   std::vector<double> cof;
   {
     // The derivative pass consumes the masked evaluation's workspace
     // residue, so both run under one lease.
     WorkspacePool::Lease lease = pool_.Acquire();
-    const auto eval = poly_.MaskedEvaluate(state_, mask, lease.get());
+    const auto eval = poly_.MaskedEvaluate(state_, relaxed, lease.get());
     *masked = eval.value;
     cof = poly_.MaskedAlphaDerivatives(state_, eval, a, lease.get());
   }
@@ -166,17 +164,6 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryAnswerer::AnswerGroupBy(
   if (!(full_value_ > 0.0)) {
     return Status::FailedPrecondition("summary is not solved (P <= 0)");
   }
-  // One masked evaluation with every group-by attribute relaxed serves all
-  // keys; each key only re-walks the components its attributes touch, with
-  // point lookups substituted for that attribute's range sums.
-  CountingQuery relaxed = base;
-  for (AttrId a : attrs) relaxed.Where(a, AttrPredicate::Any());
-  QueryMask mask = QueryMask::FromQuery(relaxed, reg_.domain_sizes());
-  // The per-key point overrides consume the masked evaluation's workspace
-  // residue, so the whole batch runs under one lease.
-  WorkspacePool::Lease lease = pool_.Acquire();
-  const auto eval = poly_.MaskedEvaluate(state_, mask, lease.get());
-
   std::map<std::vector<Code>, QueryEstimate> out;
   for (const auto& key : keys) {
     if (key.size() != attrs.size()) {
@@ -184,20 +171,22 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryAnswerer::AnswerGroupBy(
     }
     QueryEstimate est;
     // A key cell contributes only if it lies in the domain AND satisfies
-    // the base filter on its own attribute — relaxing above widened the
-    // mask, so the filter must be re-applied per cell (the same contract
-    // AnswerGroupByAttribute keeps via pred.Matches).
+    // the base filter on its own attribute (the same contract
+    // AnswerGroupByAttribute keeps via pred.Matches). It is then the COUNT
+    // of the base filter with every grouped attribute pinned to the key's
+    // code; where an attribute repeats, its first listed code pins it.
     bool in_domain = true;
-    for (size_t i = 0; i < attrs.size(); ++i) {
+    CountingQuery pinned = base;
+    for (size_t i = attrs.size(); i-- > 0;) {
       if (key[i] >= reg_.domain_size(attrs[i]) ||
           !base.predicate(attrs[i]).Matches(key[i])) {
         in_domain = false;
       }
+      pinned.Where(attrs[i], AttrPredicate::Point(key[i]));
     }
     if (in_domain) {
-      const double masked =
-          poly_.PointOverrideValue(state_, eval, attrs, key, lease.get());
-      est = CountOf(masked);
+      WorkspacePool::Lease lease = pool_.Acquire();
+      est = CountOf(poly_.MaskedEvaluate(state_, pinned, lease.get()).value);
     }
     out.emplace(key, est);
   }

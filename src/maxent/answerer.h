@@ -71,11 +71,9 @@ class QueryAnswerer {
 
   /// Point-group-by: for each listed code combination of `attrs`, the
   /// estimate of COUNT(*) at that point with `base` as the residual filter.
-  /// Mirrors the paper's SELECT A.., COUNT(*) GROUP BY templates.
-  /// Vectorized: ONE masked evaluation (group-by attributes relaxed) is
-  /// shared by every key; each key then re-walks only the components its
-  /// attributes touch with point lookups in place of range sums — no
-  /// per-key prefix-sum rebuilds.
+  /// Mirrors the paper's SELECT A.., COUNT(*) GROUP BY templates. Each
+  /// key is answered as Answer(base with every attrs[i] pinned to
+  /// key[i]), so it walks only the groups its pinned codes stab.
   Result<std::map<std::vector<Code>, QueryEstimate>> AnswerGroupBy(
       const std::vector<AttrId>& attrs,
       const std::vector<std::vector<Code>>& keys,

@@ -680,7 +680,7 @@ const CompressedPolynomial::EvalContext& CompressedPolynomial::PrepareWorkspace(
 }
 
 CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
-    const ModelState& state, const QueryMask& mask, EvalWorkspace* ws) const {
+    const ModelState& state, const CountingQuery& q, EvalWorkspace* ws) const {
   PrepareWorkspace(state, ws);
   const EvalWorkspace::FactorCache& fc = *ws->cache_;
 
@@ -697,7 +697,8 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
 
   const size_t m = domain_sizes_.size();
   for (AttrId a = 0; a < m; ++a) {
-    if (mask.IsAny(a)) continue;
+    const AttrPredicate& pred = q.predicate(a);
+    if (pred.is_any()) continue;
     ws->constrained_.push_back(a);
     ws->attr_masked_[a] = 1;
     const auto& alpha = state.alpha[a];
@@ -705,7 +706,7 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
     size_t num_allowed = 0;
     Code last_allowed = 0;
     for (Code v = 0; v < alpha.size(); ++v) {
-      if (mask.Allows(a, v)) {
+      if (pred.Matches(v)) {
         ws->buf_[v] = alpha[v];
         ++num_allowed;
         last_allowed = v;
@@ -850,110 +851,6 @@ std::vector<double> CompressedPolynomial::MaskedAlphaDerivatives(
   std::vector<double> out = diff.Finalize();
   for (double& v : out) v *= outer;
   return out;
-}
-
-double CompressedPolynomial::PointOverrideValue(
-    const ModelState& state, const MaskedEval& eval,
-    const std::vector<AttrId>& attrs, const std::vector<Code>& codes,
-    EvalWorkspace* ws) const {
-  const EvalWorkspace::FactorCache& fc = *ws->cache_;
-  // Keys are 1-3 attributes; linear scans beat any map here.
-  auto key_code = [&](AttrId a, Code* v) {
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      if (attrs[i] == a) {
-        *v = codes[i];
-        return true;
-      }
-    }
-    return false;
-  };
-
-  double value = 1.0;
-  for (AttrId f : free_attrs_) {
-    Code v;
-    value *= key_code(f, &v) ? state.alpha[f][v] : ws->eff_total_[f];
-  }
-
-  // Reuses the workspace scratch (the mask's touched-set from
-  // MaskedEvaluate is not needed anymore — the walks below key off
-  // attr_masked_); avoids a per-key allocation in group-by loops.
-  std::vector<uint8_t>& comp_touched = ws->comp_scratch_;
-  comp_touched.assign(components_.size(), 0);
-  for (AttrId a : attrs) {
-    if (attr_component_[a] >= 0) comp_touched[attr_component_[a]] = 1;
-  }
-  for (size_t c = 0; c < components_.size(); ++c) {
-    if (!comp_touched[c]) {
-      value *= eval.comp_value[c];
-      continue;
-    }
-    const Component& comp = components_[c];
-    const size_t nattrs = comp.attrs.size();
-    double base = 1.0;
-    size_t num_special = 0;  // positions that are keyed or mask-constrained
-    size_t special_pos = 0;
-    bool special_is_key = false;
-    Code special_code = 0;
-    for (size_t i = 0; i < nattrs; ++i) {
-      const AttrId a = comp.attrs[i];
-      Code v;
-      if (key_code(a, &v)) {
-        base *= state.alpha[a][v];
-        ++num_special;
-        special_pos = i;
-        special_is_key = true;
-        special_code = v;
-      } else {
-        base *= ws->eff_total_[a];
-        if (ws->attr_masked_[a]) {
-          ++num_special;
-          special_pos = i;
-          special_is_key = false;
-        }
-      }
-    }
-    // A key pins its position; so does the mask's own one-code pin.
-    const auto pin = [&](size_t i) {
-      Code v;
-      return key_code(comp.attrs[i], &v) ? v : ws->pin_[comp.attrs[i]];
-    };
-    double total = base;
-    if (num_special == 1 && special_is_key) {
-      // One keyed attribute, nothing else constrained: each group on the
-      // key's stab list is the cached skip-position cofactor times a point
-      // lookup.
-      const AttrId a = comp.attrs[special_pos];
-      const double alpha_v = state.alpha[a][special_code];
-      const double* cof = fc.skip_cof[c].data();
-      ForEachReachableGroup(comp, SIZE_MAX, pin, [&](size_t g) {
-        const double sc = cof[g * nattrs + special_pos];
-        if (sc != 0.0) total += sc * alpha_v;
-      });
-    } else {
-      const std::vector<double>& dps = fc.delta_prod[c];
-      const double* factors = fc.rs_factor[c].data();
-      ForEachReachableGroup(comp, SIZE_MAX, pin, [&](size_t g) {
-        double prod = dps[g];
-        if (prod == 0.0) return;
-        const Interval* rect = &comp.rects[g * nattrs];
-        for (size_t i = 0; i < nattrs; ++i) {
-          const AttrId a = comp.attrs[i];
-          Code v;
-          if (key_code(a, &v)) {
-            prod *= rect[i].Contains(v) ? state.alpha[a][v] : 0.0;
-          } else if (ws->attr_masked_[a]) {
-            prod *= ws->masked_prefix_[a].RangeSum(rect[i].lo, rect[i].hi);
-          } else {
-            prod *= factors[g * nattrs + i];
-          }
-          if (prod == 0.0) break;
-        }
-        total += prod;
-      });
-    }
-    value *= total;
-  }
-  return value;
 }
 
 size_t CompressedPolynomial::NumGroups() const {

@@ -8,8 +8,8 @@
 
 #include "common/prefix_sum.h"
 #include "common/result.h"
-#include "maxent/mask.h"
 #include "maxent/variable_registry.h"
+#include "query/counting_query.h"
 
 namespace entropydb {
 
@@ -56,7 +56,7 @@ struct PolynomialOptions {
 ///    derivative in one sweep, and the fused Gauss-Seidel support that
 ///    ComponentSweep drives; and
 ///  - the query answerer: masked evaluations against an EvalWorkspace's
-///    cached unmasked factors, touching only what the mask constrains.
+///    cached unmasked factors, touching only what the query constrains.
 /// The per-variable reference evaluators the tests check both against
 /// live in tests/oracles/closure_oracle.h.
 class ComponentSweep;
@@ -162,47 +162,38 @@ class CompressedPolynomial {
   const EvalContext& PrepareWorkspace(const ModelState& state,
                                       EvalWorkspace* ws) const;
 
-  /// \brief Incremental masked evaluation (the Sec 4.2 rule, cached).
+  /// \brief Incremental masked evaluation of `q` (the Sec 4.2 rule,
+  /// cached): P with every 1-D variable a predicate of `q` excludes zeroed.
+  /// `q` carries one predicate per attribute of the polynomial.
   ///
-  /// Only the attributes the mask constrains get fresh prefix sums, and only
+  /// Only the attributes `q` constrains get fresh prefix sums, and only
   /// the components containing them get their groups re-walked — untouched
   /// components reuse the cached unmasked value, and every delta-factor
   /// product comes from the workspace cache. The common interactive query
   /// constrains 1-3 attributes of many, making this far cheaper than a
   /// full evaluation.
   ///
-  /// A constrained attribute the mask pins to exactly one code v (a point,
-  /// a one-code IN set, BETWEEN v AND v) narrows its component's walk to
+  /// A predicate that allows exactly one code v of its domain (a point, a
+  /// one-code IN set, BETWEEN v AND v) narrows its component's walk to
   /// the groups whose interval contains v: the shortest such stab list
   /// among the pinned attributes. Every other group has an exact-zero
-  /// factor, so the value is bitwise the full walk's. A point query then
-  /// costs O(groups stabbed by the pin) instead of O(all groups); range
-  /// masks still walk every group of the touched components. Leaves
-  /// per-attribute masked state (pins included) in `ws` for the
-  /// MaskedAlphaDerivatives / PointOverrideValue follow-ups below.
-  MaskedEval MaskedEvaluate(const ModelState& state, const QueryMask& mask,
+  /// factor, so the value is bitwise the full walk's. A point query (and
+  /// so each group-by key) then costs O(groups stabbed by the pin) instead
+  /// of O(all groups); range predicates still walk every group of the
+  /// touched components. Leaves per-attribute masked state (pins included)
+  /// in `ws` for the MaskedAlphaDerivatives follow-up below.
+  MaskedEval MaskedEvaluate(const ModelState& state, const CountingQuery& q,
                             EvalWorkspace* ws) const;
 
-  /// Per-value dP[mask]/dalpha_{a,v} via one cofactor pass over `a`'s
-  /// component. `eval` must come from a MaskedEvaluate of the same mask on
-  /// `ws`, with attribute `a` unconstrained (the group-by convention). When
+  /// Per-value dP[q]/dalpha_{a,v} via one cofactor pass over `a`'s
+  /// component. `eval` must come from a MaskedEvaluate of the same query q
+  /// on `ws`, with attribute `a` unconstrained (the group-by convention). When
   /// another attribute of the component is pinned, the pass visits only the
   /// groups its shortest stab list names (never `a`'s own, whose cofactor
   /// spans every code); otherwise it visits every group.
   std::vector<double> MaskedAlphaDerivatives(const ModelState& state,
                                              const MaskedEval& eval, AttrId a,
                                              EvalWorkspace* ws) const;
-
-  /// P under `eval`'s mask with each attrs[i] pinned to the single code
-  /// codes[i] (overriding the mask on those attributes) — the group-by-keys
-  /// fast path, with no prefix rebuilds. Keys and the mask's own pins both
-  /// pin: per key, a touched component costs O(groups on the shortest of
-  /// its pinned positions' stab lists), not O(all its groups). `eval` must
-  /// come from a MaskedEvaluate of the same mask on `ws`.
-  double PointOverrideValue(const ModelState& state, const MaskedEval& eval,
-                            const std::vector<AttrId>& attrs,
-                            const std::vector<Code>& codes,
-                            EvalWorkspace* ws) const;
 
   // ------------------------------------------------------------------
   // Build and size.
@@ -428,7 +419,7 @@ class EvalWorkspace {
   std::vector<uint8_t> attr_masked_;     ///< per attribute: constrained?
   std::vector<AttrId> constrained_;      ///< the constrained attributes
   std::vector<PrefixSum> masked_prefix_; ///< built only for constrained ones
-  /// Per attribute: the one code the mask allows, or
+  /// Per attribute: the one code the query's predicate allows, or
   /// CompressedPolynomial::kNoPin (unconstrained, or several codes).
   std::vector<Code> pin_;
   std::vector<double> eff_total_;        ///< per attribute: T_i under mask

@@ -223,6 +223,9 @@ Result<std::shared_ptr<EntropySummary>> EntropySummary::Parse(
       }
     }
   }
+  if (in >> token) {
+    return Status::Corruption("trailing data after the domains in " + path);
+  }
 
   ASSIGN_OR_RETURN(VariableRegistry reg,
                    VariableRegistry::Create(std::move(sizes),

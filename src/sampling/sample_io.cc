@@ -77,7 +77,9 @@ Result<WeightedSample> LoadSample(const std::string& path, Env* env,
                                   bool verify_checksums) {
   ASSIGN_OR_RETURN(std::string payload,
                    ReadChecksummedFile(env, path, verify_checksums));
-  return ParseSample(payload, path);
+  ASSIGN_OR_RETURN(WeightedSample sample, ParseSample(payload, path));
+  sample.index = SampleIndex::Build(*sample.rows);
+  return sample;
 }
 
 Result<WeightedSample> ParseSample(const std::string& payload,
@@ -95,9 +97,11 @@ Result<WeightedSample> ParseSample(const std::string& payload,
     return Status::Corruption("bad sample fraction record in " + path);
   }
   size_t m = 0;
-  if (!(in >> token >> m) || token != "attrs" || m == 0) {
+  if (!(in >> token) || token != "attrs") {
     return Status::Corruption("bad sample attrs record in " + path);
   }
+  RETURN_NOT_OK(ReadCount(in, kMinNumberBytes, path, "attrs", &m));
+  if (m == 0) return Status::Corruption("bad sample attrs record in " + path);
   std::vector<AttributeSpec> specs(m);
   std::vector<Domain> domains(m);
   for (size_t a = 0; a < m; ++a) {
@@ -107,7 +111,8 @@ Result<WeightedSample> ParseSample(const std::string& payload,
     }
     if (kind == "cat") {
       size_t count = 0;
-      if (!(in >> count)) return Status::Corruption("bad sample domain");
+      RETURN_NOT_OK(
+          ReadCount(in, kMinLabelBytes, path, "domain labels", &count));
       std::string line;
       std::getline(in, line);  // consume the rest of the header line
       std::vector<std::string> labels(count);
@@ -132,9 +137,11 @@ Result<WeightedSample> ParseSample(const std::string& payload,
     }
   }
   size_t rows = 0;
-  if (!(in >> token >> rows) || token != "rows") {
+  if (!(in >> token) || token != "rows") {
     return Status::Corruption("bad sample rows record in " + path);
   }
+  // A row is m codes and a weight, each at least a digit and a separator.
+  RETURN_NOT_OK(ReadCount(in, (m + 1) * kMinNumberBytes, path, "rows", &rows));
   TableBuilder builder(Schema{std::move(specs)});
   for (AttrId a = 0; a < m; ++a) builder.SetDomain(a, domains[a]);
   std::vector<Code> row(m);
@@ -169,7 +176,6 @@ Result<WeightedSample> ParseSample(const std::string& payload,
     return Status::Corruption("trailing data after the sample rows in " +
                               path);
   }
-  sample.index = SampleIndex::Build(*sample.rows);
   return sample;
 }
 

@@ -34,8 +34,11 @@ Result<WeightedSample> LoadSample(const std::string& path,
                                   Env* env = Env::Default(),
                                   bool verify_checksums = true);
 
-/// LoadSample without the read: restores a sample from `payload`, what
-/// ReadChecksummedFile returned for `path` (which errors name).
+/// LoadSample without the read and without the index: restores a sample's
+/// rows from `payload`, what ReadChecksummedFile returned for `path`
+/// (which errors name). The index is sized by the file's domains, which
+/// the file alone does not bound, so a store builds it only after checking
+/// them against its summaries.
 Result<WeightedSample> ParseSample(const std::string& payload,
                                    const std::string& path);
 

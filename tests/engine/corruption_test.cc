@@ -6,7 +6,10 @@
 // footer is kCorruption too.
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
+#include <functional>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include "engine/ingest.h"
 #include "engine/sharded_store.h"
 #include "maxent/summary.h"
+#include "storage/version_set.h"
 
 namespace entropydb {
 namespace {
@@ -419,6 +423,190 @@ TEST_F(CorruptionTest, OversizedSummaryCountsAreCorruption) {
       }
     });
   }
+}
+
+/// `p` with the token after the first `key` token replaced by `value`.
+std::string WithCount(const std::string& p, const std::string& key,
+                      const std::string& value) {
+  size_t at = p.find("\n" + key + " ");
+  if (at == std::string::npos) at = p.find(" " + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return p;
+  const size_t count = at + key.size() + 2;
+  return p.substr(0, count) + value +
+         p.substr(p.find_first_of(" \n", count));
+}
+
+TEST_F(CorruptionTest, OversizedStoreCountsAreCorruption) {
+  // Each count the sample and MANIFEST parsers read, set to one no payload
+  // could hold under a valid footer: the open must fail as kCorruption
+  // naming the file and the record, before anything is sized by it. The
+  // sample's `rows` case is the store that once aborted the open with
+  // std::bad_alloc.
+  const std::string huge = "100000000000000";
+  struct Case {
+    std::string store, file, record;
+  };
+  const std::vector<Case> cases = {
+      {MonoDir(), "sample_0.eds", "attrs"},
+      {MonoDir(), "sample_0.eds", "cat"},
+      {MonoDir(), "sample_0.eds", "rows"},
+      {MonoDir(), "MANIFEST", "summaries"},
+      {MonoDir(), "MANIFEST", "samples"},
+      {MonoDir(), "MANIFEST", "pairs"},
+      {ShardedDir(), "MANIFEST", "shards"},
+      {ShardedDir(), "MANIFEST", "shardrows"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.file + " " + c.record);
+    const std::string dir = Clone(c.store);
+    const std::string path = dir + "/" + c.file;
+    auto payload = ReadChecksummedFile(Env::Default(), path);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    std::string p = *payload;
+    if (c.record == "cat") {
+      // The fixture's domains are all binned: make A0's categorical.
+      const size_t at = p.find("\nA0 bin ") + 1;
+      ASSERT_GT(at, 0u);
+      p = p.substr(0, at) + "A0 cat 6" + p.substr(p.find('\n', at));
+    }
+    ASSERT_TRUE(WriteChecksummedFile(Env::Default(), path,
+                                     WithCount(p, c.record, huge))
+                    .ok());
+    EXPECT_NO_THROW({
+      auto opened = EntropyEngine::Open(dir);
+      EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+          << opened.status().ToString();
+      EXPECT_NE(opened.status().message().find(path), std::string::npos)
+          << opened.status().ToString();
+      // A `cat` record's count is the domain's label count.
+      const std::string record = c.record == "cat" ? "domain labels" : c.record;
+      EXPECT_NE(opened.status().message().find(record + " count"),
+                std::string::npos)
+          << opened.status().ToString();
+    });
+  }
+}
+
+/// Structure-aware fuzzing of every persisted format: numeric tokens set to
+/// extreme values, single lines dropped or repeated, each mutant given a
+/// valid footer so that the parser, not the checksum, has to reject it.
+class FormatFuzzTest : public CorruptionTest {
+ protected:
+  using Open = std::function<Status(const std::string& dir)>;
+
+  /// Opens every mutant of `file` (relative to the store `src`) in a fresh
+  /// clone. Each open must return a Status without throwing, and a mutated
+  /// count (the token after a `counts` keyword) must fail as kCorruption.
+  /// Every count gets every value; a fixed-seed sample of the other
+  /// numbers and of the lines gets the rest.
+  void Fuzz(const std::string& src, const std::string& file,
+            const std::set<std::string>& counts, uint64_t seed,
+            const Open& open) {
+    auto payload = ReadChecksummedFile(Env::Default(), src + "/" + file);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    const std::string p = *payload;
+    struct Number {
+      size_t at, len;
+      bool count;
+    };
+    std::vector<Number> numbers;
+    std::vector<size_t> lines = {0};
+    std::string prev;
+    for (size_t i = 0; i < p.size();) {
+      if (p[i] == '\n' && i + 1 < p.size()) lines.push_back(i + 1);
+      if (std::isspace(static_cast<unsigned char>(p[i]))) {
+        ++i;
+        continue;
+      }
+      const size_t end = std::min(p.find_first_of(" \n", i), p.size());
+      const std::string tok = p.substr(i, end - i);
+      const size_t digit = tok[0] == '-' ? 1 : 0;
+      if (digit < tok.size() &&
+          std::isdigit(static_cast<unsigned char>(tok[digit]))) {
+        numbers.push_back({i, end - i, counts.count(prev) > 0});
+      }
+      prev = tok;
+      i = end;
+    }
+    size_t opens = 0;
+    auto run = [&](const std::string& mutant, bool count,
+                   const std::string& what) {
+      if (mutant == p) return;
+      SCOPED_TRACE(file + ": " + what);
+      const std::string dir = Clone(src);
+      ASSERT_TRUE(
+          WriteChecksummedFile(Env::Default(), dir + "/" + file, mutant).ok());
+      Status st;
+      EXPECT_NO_THROW(st = open(dir));
+      if (count) {
+        EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+      }
+      ++opens;
+    };
+    Rng rng(seed);
+    const double keep_number = std::min(1.0, 24.0 / numbers.size());
+    for (const Number& n : numbers) {
+      if (!n.count && !rng.NextBernoulli(keep_number)) continue;
+      for (const char* v :
+           {"0", "-1", "4294967296", "18446744073709551615", "1e14"}) {
+        run(p.substr(0, n.at) + v + p.substr(n.at + n.len), n.count,
+            p.substr(n.at, n.len) + " -> " + v);
+      }
+    }
+    const double keep_line = std::min(1.0, 12.0 / lines.size());
+    for (size_t l = 0; l < lines.size(); ++l) {
+      if (!rng.NextBernoulli(keep_line)) continue;
+      const size_t at = lines[l];
+      const size_t end = l + 1 < lines.size() ? lines[l + 1] : p.size();
+      const std::string line = p.substr(at, end - at);
+      run(p.substr(0, at) + p.substr(end), false, "drop line " + line);
+      run(p.substr(0, end) + line + p.substr(end), false,
+          "repeat line " + line);
+    }
+    EXPECT_GT(opens, 0u);
+  }
+
+  static Status OpenEngine(const std::string& dir) {
+    return EntropyEngine::Open(dir).status();
+  }
+};
+
+TEST_F(FormatFuzzTest, Summary) {
+  Fuzz(MonoDir(), "summary_0.edb", {"attrs", "mds", "cat", "domains"}, 401,
+       [](const std::string& dir) {
+         return EntropySummary::Load(dir + "/summary_0.edb").status();
+       });
+}
+
+TEST_F(FormatFuzzTest, Sample) {
+  // Through the store's open: a sample's domains size its index, and only
+  // the store can check them against its summaries first.
+  Fuzz(MonoDir(), "sample_0.eds", {"attrs", "cat", "rows"}, 402, OpenEngine);
+}
+
+TEST_F(FormatFuzzTest, StoreManifest) {
+  Fuzz(MonoDir(), "MANIFEST", {"summaries", "samples", "pairs"}, 403,
+       OpenEngine);
+}
+
+TEST_F(FormatFuzzTest, ShardedManifest) {
+  Fuzz(ShardedDir(), "MANIFEST", {"shards", "shardrows"}, 404, OpenEngine);
+}
+
+TEST_F(FormatFuzzTest, Current) {
+  // A one-version root: CURRENT names v1.
+  const std::string root = ScratchDir() + "-versioned";
+  fs::remove_all(root);
+  auto vs = VersionSet::Open(root, Env::Default());
+  ASSERT_TRUE(vs.ok()) << vs.status().ToString();
+  const uint64_t id = (*vs)->BeginVersion();
+  fs::copy(MonoDir(), (*vs)->VersionDir(id), fs::copy_options::recursive);
+  ASSERT_TRUE((*vs)->Publish(id).ok());
+  Fuzz(root, "CURRENT", {}, 405, [](const std::string& dir) {
+    return VersionSet::Open(dir, Env::Default()).status();
+  });
+  fs::remove_all(root);
 }
 
 }  // namespace

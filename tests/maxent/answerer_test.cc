@@ -188,6 +188,93 @@ TEST(AnswererTest, GroupByMatchesIndividualAnswers) {
   }
 }
 
+/// A random base filter: per attribute ANY, a point, a range or an IN set.
+CountingQuery RandomBase(Rng& rng, const VariableRegistry& reg) {
+  CountingQuery q(reg.num_attributes());
+  for (AttrId a = 0; a < reg.num_attributes(); ++a) {
+    const uint32_t n = reg.domain_size(a);
+    const Code lo = static_cast<Code>(rng.Uniform(n));
+    switch (rng.Uniform(4)) {
+      case 0:
+        break;
+      case 1:
+        q.Where(a, AttrPredicate::Point(lo));
+        break;
+      case 2:
+        q.Where(a, AttrPredicate::Range(
+                       lo, lo + static_cast<Code>(rng.Uniform(n - lo))));
+        break;
+      default: {
+        std::vector<Code> codes;
+        for (Code v = 0; v < n; ++v) {
+          if (rng.NextBernoulli(0.5)) codes.push_back(v);
+        }
+        q.Where(a, AttrPredicate::InSet(std::move(codes)));
+      }
+    }
+  }
+  return q;
+}
+
+TEST(AnswererTest, GroupByKeysAreBitwisePinnedAnswers) {
+  // Every key of a group-by is the COUNT of its base with each grouped
+  // attribute pinned to the key's code, bitwise, on a hub (a star on A0),
+  // a chain and a 1-D-only model. A key the base excludes is {0, 0}.
+  auto table = RandomTable({5, 4, 6, 4}, 500, 75);
+  std::vector<MultiDimStatistic> hub, chain;
+  for (AttrId b = 1; b < 4; ++b) {
+    auto st = RandomDisjointStats(*table, 0, b, 3, 75 + b);
+    hub.insert(hub.end(), st.begin(), st.end());
+  }
+  for (AttrId a = 0; a < 2; ++a) {
+    auto st = RandomDisjointStats(*table, a, a + 1, 4, 80 + a);
+    chain.insert(chain.end(), st.begin(), st.end());
+  }
+  const std::vector<std::vector<AttrId>> shapes = {
+      {0}, {3}, {1, 2}, {0, 3}, {2, 0, 1}};
+  for (const auto& stats : {hub, chain, std::vector<MultiDimStatistic>{}}) {
+    auto s = SolveFor(*table, stats);
+    QueryAnswerer answerer(s.reg, s.poly, s.state);
+    Rng rng(85);
+    for (int trial = 0; trial < 6; ++trial) {
+      const CountingQuery base = RandomBase(rng, s.reg);
+      for (const auto& attrs : shapes) {
+        std::vector<std::vector<Code>> keys = {{}};
+        for (AttrId a : attrs) {
+          std::vector<std::vector<Code>> longer;
+          for (const auto& key : keys) {
+            for (Code v = 0; v < s.reg.domain_size(a); ++v) {
+              longer.push_back(key);
+              longer.back().push_back(v);
+            }
+          }
+          keys = std::move(longer);
+        }
+        auto groups = answerer.AnswerGroupBy(attrs, keys, base);
+        ASSERT_TRUE(groups.ok());
+        ASSERT_EQ(groups->size(), keys.size());
+        for (const auto& key : keys) {
+          CountingQuery pinned = base;
+          bool kept = true;
+          for (size_t i = 0; i < attrs.size(); ++i) {
+            kept = kept && base.predicate(attrs[i]).Matches(key[i]);
+            pinned.Where(attrs[i], AttrPredicate::Point(key[i]));
+          }
+          QueryEstimate want;
+          if (kept) {
+            auto single = answerer.Answer(pinned);
+            ASSERT_TRUE(single.ok());
+            want = *single;
+          }
+          const QueryEstimate& got = groups->at(key);
+          EXPECT_EQ(got.expectation, want.expectation);
+          EXPECT_EQ(got.variance, want.variance);
+        }
+      }
+    }
+  }
+}
+
 TEST(AnswererTest, ArityMismatchRejected) {
   auto table = RandomTable({4, 4}, 100, 74);
   auto s = SolveFor(*table, {});

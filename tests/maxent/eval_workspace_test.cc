@@ -30,25 +30,30 @@ ModelState RandomState(const VariableRegistry& reg, uint64_t seed) {
   return st;
 }
 
-QueryMask RandomMask(const VariableRegistry& reg, uint64_t seed,
-                     double p_constrained) {
+/// A query whose constrained attributes each allow a random code set: a
+/// range, one code, or a random subset (possibly empty).
+CountingQuery RandomMask(const VariableRegistry& reg, uint64_t seed,
+                         double p_constrained) {
   Rng rng(seed);
-  QueryMask mask(reg.num_attributes());
+  CountingQuery mask(reg.num_attributes());
   for (AttrId a = 0; a < reg.num_attributes(); ++a) {
     if (!rng.NextBernoulli(p_constrained)) continue;
     uint32_t n = reg.domain_size(a);
-    std::vector<uint8_t> allow(n, 0);
+    std::vector<Code> allow;
     const uint64_t shape = rng.Uniform(3);
     if (shape == 0) {
       Code lo = static_cast<Code>(rng.Uniform(n));
       Code hi = lo + static_cast<Code>(rng.Uniform(n - lo));
-      for (Code v = lo; v <= hi; ++v) allow[v] = 1;
+      for (Code v = lo; v <= hi; ++v) allow.push_back(v);
     } else if (shape == 1) {
-      allow[rng.Uniform(n)] = 1;  // a pin: the stab-list walks
+      // A pin: the stab-list walks.
+      allow.push_back(static_cast<Code>(rng.Uniform(n)));
     } else {
-      for (Code v = 0; v < n; ++v) allow[v] = rng.NextBernoulli(0.6);
+      for (Code v = 0; v < n; ++v) {
+        if (rng.NextBernoulli(0.6)) allow.push_back(v);
+      }
     }
-    mask.Restrict(a, std::move(allow));
+    mask.Where(a, AttrPredicate::InSet(std::move(allow)));
   }
   return mask;
 }
@@ -96,9 +101,9 @@ Fixture MakePairSetup(uint64_t seed) {
 
 /// Pins each attribute, in turn, to every code of its domain over a random
 /// background mask (which may pin others too) and checks the pinned walks
-/// against the reference paths: the masked value, every other attribute's
-/// group-by cofactors, and its point-override value at each code. A range
-/// on the same attribute follows each pin, so a stale pin would surface.
+/// against the reference paths: the masked value and every other
+/// attribute's group-by cofactors. A range on the same attribute follows
+/// each pin, so a stale pin would surface.
 void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
   const size_t m = s.reg.num_attributes();
   const ClosureOracle oracle(s.poly);
@@ -106,36 +111,24 @@ void ExpectPinnedWalksMatchReference(const Fixture& s, uint64_t seed) {
   for (AttrId a = 0; a < m; ++a) {
     const uint32_t na = s.reg.domain_size(a);
     for (Code v = 0; v < na; ++v) {
-      QueryMask mask = RandomMask(s.reg, seed + 64 * a + v, 0.4);
-      std::vector<uint8_t> one(na, 0);
-      one[v] = 1;
-      mask.Restrict(a, std::move(one));
+      CountingQuery mask = RandomMask(s.reg, seed + 64 * a + v, 0.4);
+      mask.Where(a, AttrPredicate::InSet({v}));
       ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
                   oracle.Evaluate(s.state, mask).value, "pinned value");
       for (AttrId b = 0; b < m; ++b) {
         if (b == a) continue;
         const uint32_t nb = s.reg.domain_size(b);
-        QueryMask by = mask;
-        by.Restrict(b, std::vector<uint8_t>(nb, 1));
+        CountingQuery by = mask;
+        by.Where(b, AttrPredicate::Any());
         const auto eval = s.poly.MaskedEvaluate(s.state, by, &ws);
         const auto got = s.poly.MaskedAlphaDerivatives(s.state, eval, b, &ws);
         const auto want =
             oracle.AlphaDerivatives(s.state, oracle.Evaluate(s.state, by), b);
         for (Code w = 0; w < nb; ++w) {
           ExpectClose(got[w], want[w], "pinned group-by cofactor");
-          QueryMask point = by;
-          std::vector<uint8_t> key(nb, 0);
-          key[w] = 1;
-          point.Restrict(b, std::move(key));
-          ExpectClose(s.poly.PointOverrideValue(s.state, eval, {b}, {w}, &ws),
-                      oracle.Evaluate(s.state, point).value,
-                      "pinned point override");
         }
       }
-      std::vector<uint8_t> range(na, 0);
-      range[v] = 1;
-      range[v == 0 ? 1 : v - 1] = 1;
-      mask.Restrict(a, std::move(range));
+      mask.Where(a, AttrPredicate::InSet({v, v == 0 ? 1 : v - 1}));
       ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
                   oracle.Evaluate(s.state, mask).value, "range after a pin");
     }
@@ -152,7 +145,7 @@ TEST(EvalWorkspaceTest, MaskedEvaluateMatchesFreshAcrossRandomMasks) {
   const ClosureOracle oracle(s.poly);
   EvalWorkspace ws;
   for (int trial = 0; trial < 40; ++trial) {
-    QueryMask mask = RandomMask(s.reg, 500 + trial, 0.5);
+    CountingQuery mask = RandomMask(s.reg, 500 + trial, 0.5);
     const double fresh = oracle.Evaluate(s.state, mask).value;
     const double cached = s.poly.MaskedEvaluate(s.state, mask, &ws).value;
     ExpectClose(cached, fresh, "masked value");
@@ -168,12 +161,12 @@ TEST(EvalWorkspaceTest, WorkspaceReuseDoesNotLeakAcrossMasks) {
   EvalWorkspace ws;
   for (int trial = 0; trial < 30; ++trial) {
     const double p = (trial % 2 == 0) ? 0.9 : 0.15;
-    QueryMask mask = RandomMask(s.reg, 900 + trial, p);
+    CountingQuery mask = RandomMask(s.reg, 900 + trial, p);
     ExpectClose(s.poly.MaskedEvaluate(s.state, mask, &ws).value,
                 oracle.Evaluate(s.state, mask).value, "alternating masks");
   }
   // The all-ANY mask must return the cached unmasked value exactly.
-  QueryMask any(s.reg.num_attributes());
+  CountingQuery any(s.reg.num_attributes());
   EXPECT_DOUBLE_EQ(s.poly.MaskedEvaluate(s.state, any, &ws).value,
                    s.poly.EvaluateUnmasked(s.state).value);
 }
@@ -213,10 +206,12 @@ TEST(EvalWorkspaceTest, AllDerivativesMatchNaiveSkipRecomputation) {
     for (Code v = 0; v < s.reg.domain_size(a); ++v) {
       const double alpha = s.state.alpha[a][v];
       ASSERT_GT(alpha, 0.0);
-      QueryMask mask(s.reg.num_attributes());
-      std::vector<uint8_t> allow(s.reg.domain_size(a), 1);
-      allow[v] = 0;
-      mask.Restrict(a, std::move(allow));
+      CountingQuery mask(s.reg.num_attributes());
+      std::vector<Code> allow;
+      for (Code w = 0; w < s.reg.domain_size(a); ++w) {
+        if (w != v) allow.push_back(w);
+      }
+      mask.Where(a, AttrPredicate::InSet(std::move(allow)));
       const double without = oracle.Evaluate(s.state, mask).value;
       const double naive = (ctx.value - without) / alpha;
       EXPECT_NEAR(all.alpha[a][v], naive,
@@ -232,10 +227,9 @@ TEST(EvalWorkspaceTest, MaskedAlphaDerivativesMatchContextPath) {
   EvalWorkspace ws;
   for (int trial = 0; trial < 10; ++trial) {
     for (AttrId a = 0; a < s.reg.num_attributes(); ++a) {
-      QueryMask mask = RandomMask(s.reg, 1500 + trial, 0.5);
+      CountingQuery mask = RandomMask(s.reg, 1500 + trial, 0.5);
       // Group-by convention: the split attribute itself is unconstrained.
-      std::vector<uint8_t> all_pass(s.reg.domain_size(a), 1);
-      mask.Restrict(a, std::move(all_pass));
+      mask.Where(a, AttrPredicate::Any());
       const auto eval = s.poly.MaskedEvaluate(s.state, mask, &ws);
       const auto got = s.poly.MaskedAlphaDerivatives(s.state, eval, a, &ws);
       auto ctx = oracle.Evaluate(s.state, mask);
@@ -245,41 +239,6 @@ TEST(EvalWorkspaceTest, MaskedAlphaDerivativesMatchContextPath) {
                     kRelTol * std::max(1.0, std::abs(want[v])))
             << "trial " << trial << " attr " << a << " value " << v;
       }
-    }
-  }
-}
-
-TEST(EvalWorkspaceTest, PointOverrideValueMatchesPointMaskedEvaluation) {
-  Fixture s = MakeSetup(107);
-  const ClosureOracle oracle(s.poly);
-  EvalWorkspace ws;
-  Rng rng(7);
-  // Pin pairs spanning the same component, different components, and a
-  // free attribute.
-  const std::vector<std::vector<AttrId>> key_shapes = {
-      {0, 1}, {0, 2}, {1, 3}, {3}, {0, 1, 2}};
-  for (const auto& attrs : key_shapes) {
-    QueryMask mask = RandomMask(s.reg, 1700 + attrs.size(), 0.4);
-    for (AttrId a : attrs) {
-      std::vector<uint8_t> all_pass(s.reg.domain_size(a), 1);
-      mask.Restrict(a, std::move(all_pass));
-    }
-    const auto eval = s.poly.MaskedEvaluate(s.state, mask, &ws);
-    for (int trial = 0; trial < 8; ++trial) {
-      std::vector<Code> codes;
-      for (AttrId a : attrs) {
-        codes.push_back(static_cast<Code>(rng.Uniform(s.reg.domain_size(a))));
-      }
-      const double got =
-          s.poly.PointOverrideValue(s.state, eval, attrs, codes, &ws);
-      QueryMask point_mask = mask;
-      for (size_t i = 0; i < attrs.size(); ++i) {
-        std::vector<uint8_t> allow(s.reg.domain_size(attrs[i]), 0);
-        allow[codes[i]] = 1;
-        point_mask.Restrict(attrs[i], std::move(allow));
-      }
-      const double want = oracle.Evaluate(s.state, point_mask).value;
-      ExpectClose(got, want, "point-override value");
     }
   }
 }
@@ -391,7 +350,7 @@ TEST(EvalWorkspaceTest, NoComponentPolynomialStillWorks) {
   ModelState st = RandomState(reg, 111);
   EvalWorkspace ws;
   for (int trial = 0; trial < 10; ++trial) {
-    QueryMask mask = RandomMask(reg, 2000 + trial, 0.6);
+    CountingQuery mask = RandomMask(reg, 2000 + trial, 0.6);
     ExpectClose(poly->MaskedEvaluate(st, mask, &ws).value,
                 oracle.Evaluate(st, mask).value, "free-only masked value");
   }

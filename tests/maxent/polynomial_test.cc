@@ -25,9 +25,9 @@ ModelState RandomState(const VariableRegistry& reg, uint64_t seed) {
   return st;
 }
 
-QueryMask RandomMask(const VariableRegistry& reg, uint64_t seed) {
+CountingQuery RandomMask(const VariableRegistry& reg, uint64_t seed) {
   Rng rng(seed);
-  QueryMask mask(reg.num_attributes());
+  CountingQuery mask(reg.num_attributes());
   for (AttrId a = 0; a < reg.num_attributes(); ++a) {
     switch (rng.Uniform(3)) {
       case 0:
@@ -36,16 +36,18 @@ QueryMask RandomMask(const VariableRegistry& reg, uint64_t seed) {
         uint32_t n = reg.domain_size(a);
         Code lo = static_cast<Code>(rng.Uniform(n));
         Code hi = lo + static_cast<Code>(rng.Uniform(n - lo));
-        std::vector<uint8_t> allow(n, 0);
-        for (Code v = lo; v <= hi; ++v) allow[v] = 1;
-        mask.Restrict(a, std::move(allow));
+        std::vector<Code> allow;
+        for (Code v = lo; v <= hi; ++v) allow.push_back(v);
+        mask.Where(a, AttrPredicate::InSet(std::move(allow)));
         break;
       }
-      default: {  // random subset
+      default: {  // random subset, possibly empty
         uint32_t n = reg.domain_size(a);
-        std::vector<uint8_t> allow(n, 0);
-        for (Code v = 0; v < n; ++v) allow[v] = rng.NextBernoulli(0.6);
-        mask.Restrict(a, std::move(allow));
+        std::vector<Code> allow;
+        for (Code v = 0; v < n; ++v) {
+          if (rng.NextBernoulli(0.6)) allow.push_back(v);
+        }
+        mask.Where(a, AttrPredicate::InSet(std::move(allow)));
       }
     }
   }
@@ -158,7 +160,7 @@ TEST_P(PolynomialSweepTest, CompressedMatchesDense) {
   // Masked evaluations: the reference and the query path's cached walk.
   EvalWorkspace ws;
   for (int trial = 0; trial < 6; ++trial) {
-    QueryMask mask = RandomMask(reg, p.seed + 200 + trial);
+    CountingQuery mask = RandomMask(reg, p.seed + 200 + trial);
     double compressed = oracle.Evaluate(st, mask).value;
     double dense_masked = dense->Evaluate(st, mask);
     EXPECT_NEAR(compressed, dense_masked,
@@ -295,7 +297,7 @@ TEST(PolynomialTest, Mixed2DAnd3DStatisticsMatchDense) {
   // The query path's cached masked walk over the mixed-arity groups.
   EvalWorkspace ws;
   for (int trial = 0; trial < 6; ++trial) {
-    QueryMask mask = RandomMask(reg, 64 + trial);
+    CountingQuery mask = RandomMask(reg, 64 + trial);
     const double want = dense->Evaluate(st, mask);
     EXPECT_NEAR(poly->MaskedEvaluate(st, mask, &ws).value, want,
                 1e-10 * std::max(1.0, std::abs(want)))
@@ -336,8 +338,8 @@ TEST(PolynomialTest, MaskZeroingKillsExactlyExcludedMonomials) {
   auto poly = CompressedPolynomial::Build(reg);
   ASSERT_TRUE(poly.ok());
   ModelState st = RandomState(reg, 30);
-  QueryMask mask(2);
-  mask.Restrict(0, std::vector<uint8_t>(3, 0));
+  CountingQuery mask(2);
+  mask.Where(0, AttrPredicate::InSet({}));
   EXPECT_DOUBLE_EQ(ClosureOracle(*poly).Evaluate(st, mask).value, 0.0);
 }
 

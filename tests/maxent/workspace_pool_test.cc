@@ -52,7 +52,6 @@ TEST(WorkspacePoolTest, WarmsOnceAndSharesTheFactorCache) {
   // Every slot (lazily warmed or not) answers identically.
   CountingQuery q(4);
   q.Where(0, AttrPredicate::Point(2)).Where(2, AttrPredicate::Range(1, 3));
-  QueryMask mask = QueryMask::FromQuery(q, s.reg.domain_sizes());
   std::vector<double> values;
   {
     auto l1 = pool.Acquire();
@@ -61,9 +60,9 @@ TEST(WorkspacePoolTest, WarmsOnceAndSharesTheFactorCache) {
     EXPECT_FALSE(l1.is_overflow());
     EXPECT_FALSE(l2.is_overflow());
     EXPECT_FALSE(l3.is_overflow());
-    values.push_back(s.poly.MaskedEvaluate(s.state, mask, l1.get()).value);
-    values.push_back(s.poly.MaskedEvaluate(s.state, mask, l2.get()).value);
-    values.push_back(s.poly.MaskedEvaluate(s.state, mask, l3.get()).value);
+    values.push_back(s.poly.MaskedEvaluate(s.state, q, l1.get()).value);
+    values.push_back(s.poly.MaskedEvaluate(s.state, q, l2.get()).value);
+    values.push_back(s.poly.MaskedEvaluate(s.state, q, l3.get()).value);
   }
   EXPECT_EQ(values[0], values[1]);
   EXPECT_EQ(values[0], values[2]);
@@ -74,7 +73,6 @@ TEST(WorkspacePoolTest, OverflowsWithoutBlockingAndMatches) {
   WorkspacePool pool(s.poly, s.state, 2);
   CountingQuery q(4);
   q.Where(1, AttrPredicate::Range(0, 2));
-  QueryMask mask = QueryMask::FromQuery(q, s.reg.domain_sizes());
 
   auto l1 = pool.Acquire();
   auto l2 = pool.Acquire();
@@ -82,8 +80,8 @@ TEST(WorkspacePoolTest, OverflowsWithoutBlockingAndMatches) {
   EXPECT_FALSE(l1.is_overflow());
   EXPECT_FALSE(l2.is_overflow());
   EXPECT_TRUE(l3.is_overflow());
-  const double slot_value = s.poly.MaskedEvaluate(s.state, mask, l1.get()).value;
-  const double over_value = s.poly.MaskedEvaluate(s.state, mask, l3.get()).value;
+  const double slot_value = s.poly.MaskedEvaluate(s.state, q, l1.get()).value;
+  const double over_value = s.poly.MaskedEvaluate(s.state, q, l3.get()).value;
   EXPECT_EQ(slot_value, over_value);
 }
 

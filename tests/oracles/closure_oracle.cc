@@ -3,12 +3,11 @@
 namespace entropydb {
 
 ClosureOracle::EvalContext ClosureOracle::Evaluate(
-    const ModelState& state, const QueryMask& mask) const {
+    const ModelState& state, const CountingQuery& q) const {
   ModelState zeroed = state;
   for (AttrId a = 0; a < zeroed.alpha.size(); ++a) {
-    if (mask.IsAny(a)) continue;
     for (Code v = 0; v < zeroed.alpha[a].size(); ++v) {
-      if (!mask.Allows(a, v)) zeroed.alpha[a][v] = 0.0;
+      if (!q.predicate(a).Matches(v)) zeroed.alpha[a][v] = 0.0;
     }
   }
   return poly_.EvaluateUnmasked(zeroed);

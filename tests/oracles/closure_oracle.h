@@ -3,9 +3,9 @@
 
 #include <vector>
 
-#include "maxent/mask.h"
 #include "maxent/polynomial.h"
 #include "maxent/variable_registry.h"
+#include "query/counting_query.h"
 
 namespace entropydb {
 
@@ -26,13 +26,14 @@ class ClosureOracle {
   /// `poly` must outlive the oracle.
   explicit ClosureOracle(const CompressedPolynomial& poly) : poly_(poly) {}
 
-  /// P with the 1-D variables the mask excludes zeroed (Sec 4.2):
-  /// EvaluateUnmasked on a copy of `state` whose excluded alphas are zero.
-  EvalContext Evaluate(const ModelState& state, const QueryMask& mask) const;
+  /// P with the 1-D variables the predicates of `q` exclude zeroed (Sec
+  /// 4.2): EvaluateUnmasked on a copy of `state` whose excluded alphas are
+  /// zero.
+  EvalContext Evaluate(const ModelState& state, const CountingQuery& q) const;
 
   /// dP/dalpha_{a,v} for every v of attribute `a`, in one batched pass over
   /// the groups (difference-array trick). `ctx` must come from `state`, or
-  /// from Evaluate of `state` under a mask. Because P is linear in the
+  /// from Evaluate of `state` under a query. Because P is linear in the
   /// whole alpha family of an attribute (overcompleteness, Eq 7), the
   /// result does not depend on that family's current values.
   std::vector<double> AlphaDerivatives(const ModelState& state,

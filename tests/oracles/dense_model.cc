@@ -40,18 +40,11 @@ double DenseMaxEntModel::Weight(const ModelState& state,
 }
 
 double DenseMaxEntModel::Evaluate(const ModelState& state,
-                                  const QueryMask& mask) const {
+                                  const CountingQuery& q) const {
   double p = 0.0;
   for (uint64_t t = 0; t < space_.size(); ++t) {
     auto tuple = space_.TupleAt(t);
-    bool allowed = true;
-    for (AttrId a = 0; a < reg_->num_attributes(); ++a) {
-      if (!mask.Allows(a, tuple[a])) {
-        allowed = false;
-        break;
-      }
-    }
-    if (allowed) p += Weight(state, tuple, -1, -1);
+    if (q.Matches(tuple)) p += Weight(state, tuple, -1, -1);
   }
   return p;
 }
@@ -82,8 +75,7 @@ double DenseMaxEntModel::CountEstimate(const ModelState& state,
                                      const CountingQuery& q) const {
   const double full = EvaluateUnmasked(state);
   if (!(full > 0.0)) return 0.0;
-  QueryMask mask = QueryMask::FromQuery(q, reg_->domain_sizes());
-  return reg_->n() * Evaluate(state, mask) / full;
+  return reg_->n() * Evaluate(state, q) / full;
 }
 
 double DenseMaxEntModel::TupleProbability(

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "maxent/mask.h"
 #include "maxent/variable_registry.h"
 #include "oracles/tuple_space.h"
 #include "query/counting_query.h"
@@ -31,11 +30,11 @@ class DenseMaxEntModel {
   static Result<DenseMaxEntModel> Create(const VariableRegistry& reg,
                                          uint64_t max_tuples = 1ULL << 22);
 
-  /// P evaluated by full enumeration under a mask.
-  double Evaluate(const ModelState& state, const QueryMask& mask) const;
+  /// P evaluated by full enumeration over the tuples `q` matches.
+  double Evaluate(const ModelState& state, const CountingQuery& q) const;
 
   double EvaluateUnmasked(const ModelState& state) const {
-    return Evaluate(state, QueryMask(reg_->num_attributes()));
+    return Evaluate(state, CountingQuery(reg_->num_attributes()));
   }
 
   /// dP/dalpha_{a,v} by enumeration (cofactor sum).
