@@ -21,6 +21,8 @@ struct LatencyFixture {
   /// The serving facade over `summary` — the query path benches go through
   /// it, like the tools and examples do.
   std::shared_ptr<EntropyEngine> engine;
+  /// Ent3&4: (time, distance) and (origin, dest) are separate components.
+  std::shared_ptr<EntropyEngine> engine34;
   std::shared_ptr<WeightedSample> uni;
   CountingQuery point_query;
   CountingQuery range_query;
@@ -37,6 +39,7 @@ struct LatencyFixture {
       auto summaries = BuildFlightsSummaries(*fx->table, scale);
       fx->summary = summaries->ent123;
       fx->engine = EntropyEngine::FromSummary(fx->summary);
+      fx->engine34 = EntropyEngine::FromSummary(summaries->ent34);
       fx->uni = std::make_shared<WeightedSample>(
           *UniformSampler::Create(*fx->table, scale.sample_fraction, 5));
       FlightsPairs p = ResolveFlightsPairs(*fx->table);
@@ -135,6 +138,24 @@ void BM_SummaryGroupBy16(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SummaryGroupBy16);
+
+void BM_SummaryGroupBy16FilteredBase(benchmark::State& state) {
+  // The same 16 (origin, dest) keys under the range query's filter, on
+  // Ent3&4: the filter's attributes (distance, time) form the other
+  // component, whose masked walk every key shares.
+  auto& f = LatencyFixture::Get();
+  FlightsPairs p = ResolveFlightsPairs(*f.table);
+  std::vector<std::vector<Code>> keys;
+  for (Code o = 0; o < 4; ++o) {
+    for (Code d = 0; d < 4; ++d) keys.push_back({o, d});
+  }
+  for (auto _ : state) {
+    auto groups =
+        f.engine34->AnswerGroupBy({p.origin, p.dest}, keys, f.range_query);
+    benchmark::DoNotOptimize(groups);
+  }
+}
+BENCHMARK(BM_SummaryGroupBy16FilteredBase);
 
 void BM_UniformSampleScan(benchmark::State& state) {
   auto& f = LatencyFixture::Get();

@@ -164,6 +164,11 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryAnswerer::AnswerGroupBy(
   if (!(full_value_ > 0.0)) {
     return Status::FailedPrecondition("summary is not solved (P <= 0)");
   }
+  // Keys differ from one another only in the grouped attributes' pins, so
+  // under one lease each evaluation reuses the previous one's residue: the
+  // base filter's prefix sums and the components no changed pin touches.
+  WorkspacePool::Lease lease = pool_.Acquire();
+  CountingQuery pinned = base;
   std::map<std::vector<Code>, QueryEstimate> out;
   for (const auto& key : keys) {
     if (key.size() != attrs.size()) {
@@ -176,7 +181,6 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryAnswerer::AnswerGroupBy(
     // of the base filter with every grouped attribute pinned to the key's
     // code; where an attribute repeats, its first listed code pins it.
     bool in_domain = true;
-    CountingQuery pinned = base;
     for (size_t i = attrs.size(); i-- > 0;) {
       if (key[i] >= reg_.domain_size(attrs[i]) ||
           !base.predicate(attrs[i]).Matches(key[i])) {
@@ -185,8 +189,9 @@ Result<std::map<std::vector<Code>, QueryEstimate>> QueryAnswerer::AnswerGroupBy(
       pinned.Where(attrs[i], AttrPredicate::Point(key[i]));
     }
     if (in_domain) {
-      WorkspacePool::Lease lease = pool_.Acquire();
-      est = CountOf(poly_.MaskedEvaluate(state_, pinned, lease.get()).value);
+      est = CountOf(poly_.MaskedEvaluate(state_, pinned, lease.get(),
+                                         /*reuse_residue=*/true)
+                        .value);
     }
     out.emplace(key, est);
   }

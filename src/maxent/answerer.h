@@ -73,7 +73,9 @@ class QueryAnswerer {
   /// estimate of COUNT(*) at that point with `base` as the residual filter.
   /// Mirrors the paper's SELECT A.., COUNT(*) GROUP BY templates. Each
   /// key is answered as Answer(base with every attrs[i] pinned to
-  /// key[i]), so it walks only the groups its pinned codes stab.
+  /// key[i]), bitwise, on one workspace that reuses the previous key's
+  /// residue: a key rebuilds only its changed pins' prefix sums and walks
+  /// only the groups they stab in the components they touch.
   Result<std::map<std::vector<Code>, QueryEstimate>> AnswerGroupBy(
       const std::vector<AttrId>& attrs,
       const std::vector<std::vector<Code>>& keys,

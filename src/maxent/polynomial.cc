@@ -600,6 +600,13 @@ double CompressedPolynomial::OuterProduct(const EvalContext& ctx,
 // Query-facing evaluation.
 // ---------------------------------------------------------------------
 
+double CompressedPolynomial::MaskedRangeSum(const EvalWorkspace& ws, AttrId a,
+                                            const Interval& iv) {
+  const Code v = ws.pin_[a];
+  if (v != kNoPin) return iv.Contains(v) ? ws.eff_total_[a] : 0.0;
+  return ws.masked_prefix_[a].RangeSum(iv.lo, iv.hi);
+}
+
 template <typename PinFn, typename VisitFn>
 void CompressedPolynomial::ForEachReachableGroup(const Component& comp,
                                                  size_t skip_pos,
@@ -669,71 +676,62 @@ const CompressedPolynomial::EvalContext& CompressedPolynomial::PrepareWorkspace(
   }
 
   if (!ws->scratch_ready_) {
+    ws->pred_.assign(m, AttrPredicate::Any());
     ws->attr_masked_.assign(m, 0);
     ws->pin_.assign(m, kNoPin);
-    ws->constrained_.clear();
     ws->masked_prefix_.resize(m);
     ws->eff_total_ = ws->cache_->unmasked.attr_total;
+    ws->comp_value_ = ws->cache_->unmasked.comp_value;
     ws->scratch_ready_ = true;
   }
   return ws->cache_->unmasked;
 }
 
 CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
-    const ModelState& state, const CountingQuery& q, EvalWorkspace* ws) const {
+    const ModelState& state, const CountingQuery& q, EvalWorkspace* ws,
+    bool reuse_residue) const {
   PrepareWorkspace(state, ws);
   const EvalWorkspace::FactorCache& fc = *ws->cache_;
 
-  // Reset the previous mask's per-attribute residue.
-  for (AttrId a : ws->constrained_) {
-    ws->attr_masked_[a] = 0;
-    ws->pin_[a] = kNoPin;
-    ws->eff_total_[a] = fc.unmasked.attr_total[a];
-  }
-  ws->constrained_.clear();
-
-  MaskedEval out;
-  out.comp_value = fc.unmasked.comp_value;
-
+  // Rebuild each attribute (with reuse: each whose predicate differs from
+  // the residue's), and mark its component for a re-walk.
+  std::vector<uint8_t>& comp_changed = ws->comp_scratch_;
+  comp_changed.assign(components_.size(), 0);
+  bool constrained = false;
   const size_t m = domain_sizes_.size();
   for (AttrId a = 0; a < m; ++a) {
     const AttrPredicate& pred = q.predicate(a);
-    if (pred.is_any()) continue;
-    ws->constrained_.push_back(a);
-    ws->attr_masked_[a] = 1;
-    const auto& alpha = state.alpha[a];
-    ws->buf_.assign(alpha.size(), 0.0);
-    size_t num_allowed = 0;
-    Code last_allowed = 0;
-    for (Code v = 0; v < alpha.size(); ++v) {
-      if (pred.Matches(v)) {
-        ws->buf_[v] = alpha[v];
-        ++num_allowed;
-        last_allowed = v;
+    if (!reuse_residue || !(pred == ws->pred_[a])) {
+      ws->pred_[a] = pred;
+      if (attr_component_[a] >= 0) comp_changed[attr_component_[a]] = 1;
+      const auto& alpha = state.alpha[a];
+      ws->attr_masked_[a] = pred.is_any() ? 0 : 1;
+      ws->pin_[a] = kNoPin;
+      if (pred.is_any()) {
+        ws->eff_total_[a] = fc.unmasked.attr_total[a];
+      } else if (pred.Selectivity(alpha.size()) == 1) {
+        // One allowed code (the sole set member or the range's low end):
+        // its factors are point lookups (MaskedRangeSum).
+        const Code v = pred.kind() == AttrPredicate::Kind::kSet
+                           ? pred.set().front()
+                           : pred.lo();
+        ws->pin_[a] = v;
+        ws->eff_total_[a] = alpha[v];
+      } else {
+        ws->buf_.assign(alpha.size(), 0.0);
+        for (Code v = 0; v < alpha.size(); ++v) {
+          if (pred.Matches(v)) ws->buf_[v] = alpha[v];
+        }
+        ws->masked_prefix_[a].Build(ws->buf_);
+        ws->eff_total_[a] = ws->masked_prefix_[a].Total();
       }
     }
-    ws->pin_[a] = num_allowed == 1 ? last_allowed : kNoPin;
-    ws->masked_prefix_[a].Build(ws->buf_);
-    ws->eff_total_[a] = ws->masked_prefix_[a].Total();
+    constrained |= ws->attr_masked_[a] != 0;
   }
 
-  if (ws->constrained_.empty()) {
-    out.value = fc.unmasked.value;
-    out.free_product = fc.unmasked.free_product;
-    return out;
-  }
-
-  out.free_product = 1.0;
-  for (AttrId f : free_attrs_) out.free_product *= ws->eff_total_[f];
-
-  // Only components containing a constrained attribute get re-walked.
-  std::vector<uint8_t>& comp_touched = ws->comp_scratch_;
-  comp_touched.assign(components_.size(), 0);
-  for (AttrId a : ws->constrained_) {
-    if (attr_component_[a] >= 0) comp_touched[attr_component_[a]] = 1;
-  }
+  // Re-walk each changed component; the others keep the residue's value.
   for (size_t c = 0; c < components_.size(); ++c) {
-    if (!comp_touched[c]) continue;
+    if (!comp_changed[c]) continue;
     const Component& comp = components_[c];
     const size_t nattrs = comp.attrs.size();
     double base = 1.0;
@@ -746,19 +744,23 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
         masked_pos = i;
       }
     }
+    if (num_masked == 0) {
+      ws->comp_value_[c] = fc.unmasked.comp_value[c];
+      continue;
+    }
     const auto pin = [&](size_t i) { return ws->pin_[comp.attrs[i]]; };
     double total = base;
     if (num_masked == 1) {
       // One constrained attribute: every other factor of every group is
       // pre-multiplied into the cached skip-position cofactor, so each
       // group is one multiply-add.
-      const PrefixSum& ps = ws->masked_prefix_[comp.attrs[masked_pos]];
+      const AttrId am = comp.attrs[masked_pos];
       const double* cof = fc.skip_cof[c].data();
       ForEachReachableGroup(comp, SIZE_MAX, pin, [&](size_t g) {
         const double sc = cof[g * nattrs + masked_pos];
         if (sc == 0.0) return;
-        const Interval& iv = comp.rects[g * nattrs + masked_pos];
-        total += sc * ps.RangeSum(iv.lo, iv.hi);
+        total += sc * MaskedRangeSum(*ws, am,
+                                     comp.rects[g * nattrs + masked_pos]);
       });
     } else {
       const std::vector<double>& dps = fc.delta_prod[c];
@@ -769,19 +771,26 @@ CompressedPolynomial::MaskedEval CompressedPolynomial::MaskedEvaluate(
         const Interval* rect = &comp.rects[g * nattrs];
         for (size_t i = 0; i < nattrs; ++i) {
           const AttrId a = comp.attrs[i];
-          prod *= ws->attr_masked_[a]
-                      ? ws->masked_prefix_[a].RangeSum(rect[i].lo, rect[i].hi)
-                      : factors[g * nattrs + i];
+          prod *= ws->attr_masked_[a] ? MaskedRangeSum(*ws, a, rect[i])
+                                      : factors[g * nattrs + i];
           if (prod == 0.0) break;
         }
         total += prod;
       });
     }
-    out.comp_value[c] = total;
+    ws->comp_value_[c] = total;
   }
 
+  MaskedEval out;
+  if (!constrained) {
+    out.value = fc.unmasked.value;
+    out.free_product = fc.unmasked.free_product;
+    return out;
+  }
+  out.free_product = 1.0;
+  for (AttrId f : free_attrs_) out.free_product *= ws->eff_total_[f];
   out.value = out.free_product;
-  for (double v : out.comp_value) out.value *= v;
+  for (double v : ws->comp_value_) out.value *= v;
   return out;
 }
 
@@ -798,7 +807,7 @@ std::vector<double> CompressedPolynomial::MaskedAlphaDerivatives(
     for (AttrId f : free_attrs_) {
       if (f != a) rest *= ws->eff_total_[f];
     }
-    for (double v : eval.comp_value) rest *= v;
+    for (double v : ws->comp_value_) rest *= v;
     return std::vector<double>(na, rest);
   }
 
@@ -806,8 +815,8 @@ std::vector<double> CompressedPolynomial::MaskedAlphaDerivatives(
   const size_t pos = attr_local_[a];
   const size_t nattrs = comp.attrs.size();
   double outer = eval.free_product;
-  for (size_t cc = 0; cc < eval.comp_value.size(); ++cc) {
-    if (static_cast<int>(cc) != c) outer *= eval.comp_value[cc];
+  for (size_t cc = 0; cc < ws->comp_value_.size(); ++cc) {
+    if (static_cast<int>(cc) != c) outer *= ws->comp_value_[cc];
   }
 
   DiffArray diff(na);
@@ -840,9 +849,8 @@ std::vector<double> CompressedPolynomial::MaskedAlphaDerivatives(
       for (size_t i = 0; i < nattrs; ++i) {
         if (i == pos) continue;
         const AttrId ai = comp.attrs[i];
-        cof *= ws->attr_masked_[ai]
-                   ? ws->masked_prefix_[ai].RangeSum(rect[i].lo, rect[i].hi)
-                   : factors[g * nattrs + i];
+        cof *= ws->attr_masked_[ai] ? MaskedRangeSum(*ws, ai, rect[i])
+                                    : factors[g * nattrs + i];
         if (cof == 0.0) break;
       }
       if (cof != 0.0) diff.RangeAdd(rect[pos].lo, rect[pos].hi, cof);

@@ -90,15 +90,13 @@ class CompressedPolynomial {
   };
 
   /// \brief Compact result of an incremental masked evaluation. Unlike
-  /// EvalContext it carries no per-attribute prefix sums — those stay cached
+  /// EvalContext it carries no prefix sums or component values — those stay
   /// inside the EvalWorkspace, so producing one is O(constrained domains +
   /// groups of the touched components) instead of O(sum_i N_i + all groups).
   struct MaskedEval {
     double value = 0.0;
     /// Product of effective totals over free attributes.
     double free_product = 1.0;
-    /// Per component: P_c under the mask (cached value when untouched).
-    std::vector<double> comp_value;
   };
 
   // ------------------------------------------------------------------
@@ -169,21 +167,25 @@ class CompressedPolynomial {
   /// Only the attributes `q` constrains get fresh prefix sums, and only
   /// the components containing them get their groups re-walked — untouched
   /// components reuse the cached unmasked value, and every delta-factor
-  /// product comes from the workspace cache. The common interactive query
-  /// constrains 1-3 attributes of many, making this far cheaper than a
-  /// full evaluation.
+  /// product comes from the workspace cache.
   ///
   /// A predicate that allows exactly one code v of its domain (a point, a
-  /// one-code IN set, BETWEEN v AND v) narrows its component's walk to
-  /// the groups whose interval contains v: the shortest such stab list
-  /// among the pinned attributes. Every other group has an exact-zero
-  /// factor, so the value is bitwise the full walk's. A point query (and
-  /// so each group-by key) then costs O(groups stabbed by the pin) instead
-  /// of O(all groups); range predicates still walk every group of the
-  /// touched components. Leaves per-attribute masked state (pins included)
-  /// in `ws` for the MaskedAlphaDerivatives follow-up below.
+  /// one-code IN set, BETWEEN v AND v) builds no prefix sum, and narrows
+  /// its component's walk to the groups whose interval contains v: the
+  /// shortest such stab list among the pinned attributes. Every other
+  /// group has an exact-zero factor, so the value is bitwise the full
+  /// walk's. Range predicates still walk every group of the touched
+  /// components. Leaves the query's masked state in `ws` for the
+  /// MaskedAlphaDerivatives follow-up below.
+  ///
+  /// With `reuse_residue`, that state from the previous call on `ws` is the
+  /// starting point: only attributes whose predicate changed are rebuilt,
+  /// and only components holding one re-walked. The result is still
+  /// bitwise the fresh evaluation's; queries that share most predicates
+  /// (a group-by's keys) then pay once for what they share.
   MaskedEval MaskedEvaluate(const ModelState& state, const CountingQuery& q,
-                            EvalWorkspace* ws) const;
+                            EvalWorkspace* ws,
+                            bool reuse_residue = false) const;
 
   /// Per-value dP[q]/dalpha_{a,v} via one cofactor pass over `a`'s
   /// component. `eval` must come from a MaskedEvaluate of the same query q
@@ -249,6 +251,13 @@ class CompressedPolynomial {
 
     size_t num_groups() const { return stats_offset.size() - 1; }
   };
+
+  /// Attribute `a`'s interval factor over `iv` under the query whose
+  /// residue `ws` holds: alpha[v] or 0 for a pinned code v (bitwise the
+  /// RangeSum of its one-code prefix sum, which is never built), the masked
+  /// prefix sum's RangeSum for any other constrained attribute.
+  static double MaskedRangeSum(const EvalWorkspace& ws, AttrId a,
+                               const Interval& iv);
 
   /// Calls visit(g), in ascending order, for each group on the shortest
   /// stab list among the positions i != skip_pos where pin(i) returns a
@@ -372,11 +381,11 @@ class ComponentSweep {
 ///    again, so any number of workspaces may share ONE cache by shared_ptr
 ///    (ShareCacheWith). This is what makes a pool of per-thread workspaces
 ///    cheap: only the first one pays the warm-up.
-///  - private masked scratch — the per-attribute masked prefix sums and
-///    touched-component flags of the most recent MaskedEvaluate. This half
-///    is mutated by every query, which is why a single workspace is NOT safe
-///    for concurrent use; give each query thread its own (see
-///    maxent/workspace_pool.h).
+///  - private masked scratch — the per-attribute predicates and masked
+///    prefix sums, and the per-component values, of the most recent
+///    MaskedEvaluate. This half is mutated by every query, which is why a
+///    single workspace is NOT safe for concurrent use; give each query
+///    thread its own (see maxent/workspace_pool.h).
 ///
 /// Bound to one (polynomial, state) pair for its whole life: the first
 /// PrepareWorkspace fills it, and the state must not change after that.
@@ -416,15 +425,17 @@ class EvalWorkspace {
   bool scratch_ready_ = false;
 
   // --- private scratch: state of the most recent MaskedEvaluate ---
+  std::vector<AttrPredicate> pred_;      ///< per attribute: its predicate
   std::vector<uint8_t> attr_masked_;     ///< per attribute: constrained?
-  std::vector<AttrId> constrained_;      ///< the constrained attributes
-  std::vector<PrefixSum> masked_prefix_; ///< built only for constrained ones
+  /// Built only for constrained attributes that are not pinned.
+  std::vector<PrefixSum> masked_prefix_;
   /// Per attribute: the one code the query's predicate allows, or
   /// CompressedPolynomial::kNoPin (unconstrained, or several codes).
   std::vector<Code> pin_;
   std::vector<double> eff_total_;        ///< per attribute: T_i under mask
+  std::vector<double> comp_value_;       ///< per component: P_c under it
   std::vector<double> buf_;              ///< masked-alpha scratch
-  std::vector<uint8_t> comp_scratch_;    ///< per component: touched flags
+  std::vector<uint8_t> comp_scratch_;    ///< per component: changed flags
 };
 
 }  // namespace entropydb

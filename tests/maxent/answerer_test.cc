@@ -170,21 +170,31 @@ TEST(AnswererTest, RoundedCount) {
   EXPECT_DOUBLE_EQ(a.RoundedCount(), 1.0);
 }
 
-TEST(AnswererTest, GroupByMatchesIndividualAnswers) {
-  auto table = RandomTable({4, 5}, 400, 72);
-  auto s = SolveFor(*table, RandomDisjointStats(*table, 0, 1, 4, 73));
-  QueryAnswerer answerer(s.reg, s.poly, s.state);
-  std::vector<std::vector<Code>> keys = {{0, 0}, {1, 2}, {3, 4}};
-  auto groups = answerer.AnswerGroupBy({0, 1}, keys, CountingQuery(2));
+/// Every key of AnswerGroupBy(attrs, keys, base) must equal, bitwise,
+/// Answer(base with each attrs[i] pinned to key[i]); a key the base
+/// excludes on its own attribute is {0, 0}.
+void ExpectGroupByMatchesAnswers(const QueryAnswerer& answerer,
+                                 const std::vector<AttrId>& attrs,
+                                 const std::vector<std::vector<Code>>& keys,
+                                 const CountingQuery& base) {
+  auto groups = answerer.AnswerGroupBy(attrs, keys, base);
   ASSERT_TRUE(groups.ok());
-  ASSERT_EQ(groups->size(), 3u);
+  ASSERT_EQ(groups->size(), keys.size());
   for (const auto& key : keys) {
-    CountingQuery q(2);
-    q.Where(0, AttrPredicate::Point(key[0]));
-    q.Where(1, AttrPredicate::Point(key[1]));
-    auto single = answerer.Answer(q);
-    ASSERT_TRUE(single.ok());
-    EXPECT_DOUBLE_EQ(groups->at(key).expectation, single->expectation);
+    CountingQuery pinned = base;
+    bool kept = true;
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      kept = kept && base.predicate(attrs[i]).Matches(key[i]);
+      pinned.Where(attrs[i], AttrPredicate::Point(key[i]));
+    }
+    QueryEstimate want;
+    if (kept) {
+      auto single = answerer.Answer(pinned);
+      ASSERT_TRUE(single.ok());
+      want = *single;
+    }
+    EXPECT_EQ(groups->at(key).expectation, want.expectation);
+    EXPECT_EQ(groups->at(key).variance, want.variance);
   }
 }
 
@@ -216,10 +226,17 @@ CountingQuery RandomBase(Rng& rng, const VariableRegistry& reg) {
   return q;
 }
 
-TEST(AnswererTest, GroupByKeysAreBitwisePinnedAnswers) {
-  // Every key of a group-by is the COUNT of its base with each grouped
-  // attribute pinned to the key's code, bitwise, on a hub (a star on A0),
-  // a chain and a 1-D-only model. A key the base excludes is {0, 0}.
+TEST(AnswererTest, GroupByMatchesIndividualAnswers) {
+  {
+    auto table = RandomTable({4, 5}, 400, 72);
+    auto s = SolveFor(*table, RandomDisjointStats(*table, 0, 1, 4, 73));
+    QueryAnswerer answerer(s.reg, s.poly, s.state);
+    ExpectGroupByMatchesAnswers(answerer, {0, 1}, {{0, 0}, {1, 2}, {3, 4}},
+                                CountingQuery(2));
+  }
+  // Every key of several shapes under random bases (points, ranges and IN
+  // sets on grouped and other attributes) on a hub (a star on A0), a chain
+  // and a 1-D-only model.
   auto table = RandomTable({5, 4, 6, 4}, 500, 75);
   std::vector<MultiDimStatistic> hub, chain;
   for (AttrId b = 1; b < 4; ++b) {
@@ -250,26 +267,7 @@ TEST(AnswererTest, GroupByKeysAreBitwisePinnedAnswers) {
           }
           keys = std::move(longer);
         }
-        auto groups = answerer.AnswerGroupBy(attrs, keys, base);
-        ASSERT_TRUE(groups.ok());
-        ASSERT_EQ(groups->size(), keys.size());
-        for (const auto& key : keys) {
-          CountingQuery pinned = base;
-          bool kept = true;
-          for (size_t i = 0; i < attrs.size(); ++i) {
-            kept = kept && base.predicate(attrs[i]).Matches(key[i]);
-            pinned.Where(attrs[i], AttrPredicate::Point(key[i]));
-          }
-          QueryEstimate want;
-          if (kept) {
-            auto single = answerer.Answer(pinned);
-            ASSERT_TRUE(single.ok());
-            want = *single;
-          }
-          const QueryEstimate& got = groups->at(key);
-          EXPECT_EQ(got.expectation, want.expectation);
-          EXPECT_EQ(got.variance, want.variance);
-        }
+        ExpectGroupByMatchesAnswers(answerer, attrs, keys, base);
       }
     }
   }

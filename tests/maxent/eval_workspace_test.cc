@@ -140,6 +140,52 @@ TEST(EvalWorkspaceTest, PinnedWalksMatchReferenceOnEveryCode) {
   ExpectPinnedWalksMatchReference(MakePairSetup(118), 4000);
 }
 
+/// A run of queries, each differing from the one before on one or two
+/// attributes (a new point, range, IN set or ANY), as a group-by's keys
+/// do. Evaluated with reuse_residue on one workspace and without it on
+/// another, every value and every group-by cofactor must be bitwise equal.
+void ExpectReusedResidueIsBitwiseFresh(const Fixture& s, uint64_t seed) {
+  const size_t m = s.reg.num_attributes();
+  EvalWorkspace reused, fresh;
+  Rng rng(seed);
+  CountingQuery q = RandomMask(s.reg, seed + 1, 0.5);
+  for (int step = 0; step < 300; ++step) {
+    const CountingQuery other = RandomMask(s.reg, seed + 2 + step, 0.7);
+    for (uint64_t k = 0, n = 1 + rng.Uniform(2); k < n; ++k) {
+      const AttrId a = static_cast<AttrId>(rng.Uniform(m));
+      const uint32_t na = s.reg.domain_size(a);
+      const Code lo = static_cast<Code>(rng.Uniform(na));
+      switch (rng.Uniform(3)) {
+        case 0:
+          q.Where(a, AttrPredicate::Point(lo));
+          break;
+        case 1:
+          q.Where(a, AttrPredicate::Range(
+                         lo, lo + static_cast<Code>(rng.Uniform(na - lo))));
+          break;
+        default:
+          q.Where(a, other.predicate(a));
+      }
+    }
+    const auto got = s.poly.MaskedEvaluate(s.state, q, &reused,
+                                           /*reuse_residue=*/true);
+    const auto want = s.poly.MaskedEvaluate(s.state, q, &fresh);
+    EXPECT_EQ(got.value, want.value) << "step " << step;
+    EXPECT_EQ(got.free_product, want.free_product) << "step " << step;
+    for (AttrId b = 0; b < m; ++b) {
+      if (!q.predicate(b).is_any()) continue;
+      EXPECT_EQ(s.poly.MaskedAlphaDerivatives(s.state, got, b, &reused),
+                s.poly.MaskedAlphaDerivatives(s.state, want, b, &fresh))
+          << "step " << step << " attribute " << b;
+    }
+  }
+}
+
+TEST(EvalWorkspaceTest, ReusedResidueIsBitwiseFreshEvaluation) {
+  ExpectReusedResidueIsBitwiseFresh(MakeSetup(131), 6000);
+  ExpectReusedResidueIsBitwiseFresh(MakePairSetup(132), 7000);
+}
+
 TEST(EvalWorkspaceTest, MaskedEvaluateMatchesFreshAcrossRandomMasks) {
   Fixture s = MakeSetup(101);
   const ClosureOracle oracle(s.poly);
